@@ -1,11 +1,14 @@
 package hibernator_test
 
 import (
-	"strconv"
+	"runtime"
+	"strings"
 	"testing"
 
+	"hibernator/internal/chaos"
 	"hibernator/internal/experiments"
 	"hibernator/internal/report"
+	"hibernator/internal/sim"
 )
 
 // benchScale keeps each experiment benchmark to a few hundred simulated
@@ -62,29 +65,57 @@ func BenchmarkX2(b *testing.B)  { benchExperiment(b, "X2") }
 func BenchmarkX3(b *testing.B)  { benchExperiment(b, "X3") }
 func BenchmarkX4(b *testing.B)  { benchExperiment(b, "X4") }
 
-// BenchmarkSimulatorThroughput measures raw simulator speed: simulated
-// requests per second of wall time on the bake-off geometry, the figure
-// that bounds how long full-scale experiments take.
+// throughputScenario is one fixed bake-off cell in repro form: Hibernator
+// on the headline geometry (4 RAID-5 groups of 4 multi-speed disks
+// behind a 256 MiB write-back cache) serving OLTP at 200 req/s under a
+// 20 ms goal for 600 simulated seconds.
+const throughputScenario = `# hibchaos repro v1
+seed 1
+duration 600
+scheme hibernator
+family enterprise
+levels 5
+groups 4
+group-disks 4
+raid raid5
+cache-mb 256
+goal-ms 20
+epoch-frac 0.125
+workload oltp
+rate 200
+`
+
+// BenchmarkSimulatorThroughput measures raw simulator speed: the fixed
+// bake-off cell above through sim.Run, reported as simulated requests per
+// wall second and allocations per simulated request — the figures that
+// bound how long full-scale experiments take. Scenario construction
+// (BuildRun) is excluded from both.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	e, ok := experiments.ByID("T2")
-	if !ok {
-		b.Fatal("T2 missing")
+	sc, err := chaos.ParseRepro(strings.NewReader(throughputScenario))
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	var reqs int
+	var reqs, mallocs uint64
+	var before, after runtime.MemStats
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tables, err := e.Run(experiments.Opts{Scale: 0.1, Seed: 777_000_000 + int64(i+1)})
+		b.StopTimer()
+		r, err := sc.BuildRun()
 		if err != nil {
 			b.Fatal(err)
 		}
-		reqs = 0
-		for _, row := range tables[0].Rows {
-			n, err := strconv.Atoi(row[1])
-			if err != nil {
-				b.Fatalf("bad request count %q", row[1])
-			}
-			reqs += n
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		res, err := sim.Run(r.Config, r.Source, r.Controller, r.Duration)
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			b.Fatal(err)
 		}
+		reqs += res.Requests
+		mallocs += after.Mallocs - before.Mallocs
+		b.StartTimer()
 	}
-	b.ReportMetric(float64(reqs), "trace-requests")
+	b.ReportMetric(float64(reqs)/b.Elapsed().Seconds(), "sim-req/s")
+	b.ReportMetric(float64(mallocs)/float64(reqs), "allocs/req")
 }

@@ -149,6 +149,13 @@ type Array struct {
 
 	// auditor, if set, receives accounting events (see audit.go).
 	auditor Auditor
+
+	// Free lists of recycled per-I/O op state (io.go, retry.go) and the
+	// RAID mapping scratch buffer. All start empty and grow to the run's
+	// peak concurrency.
+	freeLogical *logicalOp
+	freePhys    *physOp
+	mapBuf      []raid.PhysIO
 }
 
 // New builds the array with extents laid out round-robin across groups

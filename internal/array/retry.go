@@ -81,98 +81,170 @@ type FaultStats struct {
 // FaultStats returns the fault-handling counters.
 func (a *Array) FaultStats() FaultStats { return a.faultStats }
 
-// submitOne issues a single physical op on a specific member disk,
-// applying the retry policy.
-func (a *Array) submitOne(g *Group, disk int, io raid.PhysIO, background bool, onDone func()) {
-	a.submitAttempt(g, disk, io, background, 0, onDone)
+// physOp is one member-disk op chain: the attempts of a single physical
+// operation, retries included. It embeds the diskmodel.Request the disk
+// queues and binds its completion, deadline and retry callbacks once, so
+// an attempt allocates nothing. Ops are owned by their Array and recycled
+// through its free list (see DESIGN.md, "Op free lists"). An op goes back
+// only after the disk has returned its request AND its deadline has been
+// cancelled or has fired: an attempt the deadline abandoned stays owned
+// until the disk completes it, since the disk still holds &req.
+type physOp struct {
+	a          *Array
+	g          *Group
+	disk       int
+	io         raid.PhysIO
+	background bool
+	attempt    int
+	// settled is set once the attempt's outcome is decided, by the disk
+	// completion or by the deadline giving up on it.
+	settled  bool
+	deadline simevent.Event
+	onDone   func()
+	req      diskmodel.Request
+
+	doneFn              func(*diskmodel.Request, float64)
+	deadlineFn, retryFn func()
+	next                *physOp
 }
 
-// submitAttempt is one try of a physical op: submit, watch the deadline,
-// and on a transient error either back off and retry or fall back to the
-// group's redundancy. Exactly one of the completion and the deadline
-// settles the attempt; onDone fires exactly once per op chain.
-func (a *Array) submitAttempt(g *Group, disk int, io raid.PhysIO, background bool, attempt int, onDone func()) {
+// submitOne issues a single physical op on a specific member disk,
+// applying the retry policy. onDone fires exactly once per op chain.
+func (a *Array) submitOne(g *Group, disk int, io raid.PhysIO, background bool, onDone func()) {
+	p := a.freePhys
+	if p == nil {
+		p = &physOp{a: a}
+		p.doneFn, p.deadlineFn, p.retryFn = p.diskDone, p.expire, p.retry
+	} else {
+		a.freePhys = p.next
+		p.next = nil
+	}
+	p.g, p.disk, p.io, p.background, p.attempt, p.onDone = g, disk, io, background, 0, onDone
+	p.submit()
+}
+
+// release returns the op to the array's free list.
+func (p *physOp) release() {
+	a := p.a
+	p.g, p.onDone = nil, nil
+	p.next = a.freePhys
+	a.freePhys = p
+}
+
+// submit is one try of the op: hand the request to the disk and watch the
+// deadline. Exactly one of the completion and the deadline settles the
+// attempt.
+func (p *physOp) submit() {
+	p.settled = false
+	p.deadline = simevent.Event{}
+	p.req = diskmodel.Request{
+		LBA:        p.io.Offset,
+		Size:       p.io.Size,
+		Write:      p.io.Write,
+		Background: p.background,
+		Done:       p.doneFn,
+	}
+	p.g.disks[p.disk].Submit(&p.req)
+	if d := p.a.cfg.Retry.OpDeadline; d > 0 {
+		p.deadline = p.a.engine.Schedule(d, p.deadlineFn)
+	}
+}
+
+// retry resubmits the op after its backoff.
+func (p *physOp) retry() {
+	p.attempt++
+	p.submit()
+}
+
+// settle claims the attempt's outcome, cancelling the deadline if it is
+// still pending. It reports false when the outcome was already claimed.
+func (p *physOp) settle() bool {
+	if p.settled {
+		return false
+	}
+	p.settled = true
+	if p.deadline.Pending() {
+		p.a.engine.Cancel(p.deadline)
+	}
+	return true
+}
+
+// diskDone is the request's completion callback: on a transient error it
+// either backs off and retries or falls back to the group's redundancy.
+func (p *physOp) diskDone(r *diskmodel.Request, _ float64) {
+	a := p.a
 	pol := &a.cfg.Retry
-	settled := false
-	var deadline simevent.Event
-	settle := func() bool {
-		if settled {
-			return false
-		}
-		settled = true
-		if deadline.Pending() {
-			a.engine.Cancel(deadline)
-		}
-		return true
+	if p.g == nil {
+		panic("array: disk completed a request whose op was already released")
 	}
-	g.disks[disk].Submit(&diskmodel.Request{
-		LBA:        io.Offset,
-		Size:       io.Size,
-		Write:      io.Write,
-		Background: background,
-		Done: func(r *diskmodel.Request, _ float64) {
-			if !settle() {
-				return // the deadline already gave up on this attempt
-			}
-			if r.Failed {
-				// The disk died underneath us. With the policy armed the
-				// op is re-served through redundancy; without it the
-				// legacy behavior stands (completion counted, data loss
-				// accounted by the caller's level).
-				if pol.enabled() {
-					a.redirect(g, disk, io, background, onDone)
-				} else {
-					onDone()
-				}
-				return
-			}
-			if r.Errored {
-				a.faultStats.OpErrors++
-				a.noteError(g, disk)
-				if attempt < pol.MaxRetries {
-					a.faultStats.Retries++
-					a.cfg.Trace.Event(a.engine.Now(), obs.KindRetry,
-						g.id, g.disks[disk].ID(), attempt, attempt+1, "transient error")
-					a.engine.Schedule(pol.delay(attempt), func() {
-						a.submitAttempt(g, disk, io, background, attempt+1, onDone)
-					})
-					return
-				}
-				a.faultStats.Fallbacks++
-				a.cfg.Trace.Event(a.engine.Now(), obs.KindFallback,
-					g.id, g.disks[disk].ID(), attempt, -1, "retries exhausted")
-				a.redirect(g, disk, io, background, onDone)
-				return
-			}
-			onDone()
-		},
-	})
-	if pol.OpDeadline > 0 {
-		deadline = a.engine.Schedule(pol.OpDeadline, func() {
-			// A timeout only helps when the redundancy it falls back on
-			// is actually better off than the disk the op is stuck on;
-			// otherwise let the op run to completion.
-			if !a.redirectHelps(g, disk) {
-				return
-			}
-			if !settle() {
-				return
-			}
-			// The attempt is abandoned: whatever the disk eventually does
-			// with it is ignored (the disk time is still spent — that is
-			// the cost of a fail-slow drive). Serve through redundancy.
-			// Deliberately NOT fed to the error tracker: a blown deadline
-			// measures queue congestion — a commanded speed shift, a
-			// post-shift drain, a rebuild hammering the survivors — not
-			// disk health, and charging it would evict healthy drives for
-			// the policy's own stalls. Only transient errors count.
-			a.faultStats.Timeouts++
-			a.faultStats.Fallbacks++
-			a.cfg.Trace.Event(a.engine.Now(), obs.KindTimeout,
-				g.id, g.disks[disk].ID(), attempt, -1, "op deadline; served via redundancy")
+	if !p.settle() {
+		// The deadline already gave up on this attempt; the disk has now
+		// returned the request, so the op is free.
+		p.release()
+		return
+	}
+	g, disk, io, background, attempt, onDone := p.g, p.disk, p.io, p.background, p.attempt, p.onDone
+	if r.Failed {
+		p.release()
+		// The disk died underneath us. With the policy armed the op is
+		// re-served through redundancy; without it the legacy behavior
+		// stands (completion counted, data loss accounted by the caller's
+		// level).
+		if pol.enabled() {
 			a.redirect(g, disk, io, background, onDone)
-		})
+		} else {
+			onDone()
+		}
+		return
 	}
+	if r.Errored {
+		a.faultStats.OpErrors++
+		a.noteError(g, disk)
+		if attempt < pol.MaxRetries {
+			a.faultStats.Retries++
+			a.cfg.Trace.Event(a.engine.Now(), obs.KindRetry,
+				g.id, g.disks[disk].ID(), attempt, attempt+1, "transient error")
+			// The op stays owned by the pending retry.
+			a.engine.Schedule(pol.delay(attempt), p.retryFn)
+			return
+		}
+		a.faultStats.Fallbacks++
+		a.cfg.Trace.Event(a.engine.Now(), obs.KindFallback,
+			g.id, g.disks[disk].ID(), attempt, -1, "retries exhausted")
+		p.release()
+		a.redirect(g, disk, io, background, onDone)
+		return
+	}
+	p.release()
+	onDone()
+}
+
+// expire fires at the op deadline.
+func (p *physOp) expire() {
+	a := p.a
+	g, disk := p.g, p.disk
+	// A timeout only helps when the redundancy it falls back on is
+	// actually better off than the disk the op is stuck on; otherwise let
+	// the op run to completion.
+	if !a.redirectHelps(g, disk) {
+		return
+	}
+	if !p.settle() {
+		return
+	}
+	// The attempt is abandoned: whatever the disk eventually does with it
+	// is ignored (the disk time is still spent — that is the cost of a
+	// fail-slow drive), and the op stays owned until it does. Serve
+	// through redundancy. Deliberately NOT fed to the error tracker: a
+	// blown deadline measures queue congestion — a commanded speed shift,
+	// a post-shift drain, a rebuild hammering the survivors — not disk
+	// health, and charging it would evict healthy drives for the policy's
+	// own stalls. Only transient errors count.
+	a.faultStats.Timeouts++
+	a.faultStats.Fallbacks++
+	a.cfg.Trace.Event(a.engine.Now(), obs.KindTimeout,
+		g.id, g.disks[disk].ID(), p.attempt, -1, "op deadline; served via redundancy")
+	a.redirect(g, disk, p.io, p.background, p.onDone)
 }
 
 // redirectHelps decides whether abandoning a stuck attempt in favor of

@@ -8,10 +8,7 @@
 // the caller which byte ranges must move.
 package cache
 
-import (
-	"container/list"
-	"fmt"
-)
+import "fmt"
 
 // Range is a contiguous logical byte range.
 type Range struct {
@@ -21,16 +18,25 @@ type Range struct {
 
 // Cache is a block LRU. Not safe for concurrent use; the simulator is
 // single-threaded.
+//
+// Resident blocks are entries threaded on two intrusive lists: the LRU
+// list (every entry, most recent first) and the dirty list (dirty
+// entries, oldest first, for destage). An insert into a full cache reuses
+// the entry it evicts, and the ranges Read, Write and FlushOldest return
+// are built in scratch buffers, so a warm cache allocates nothing.
 type Cache struct {
 	blockSize int64
 	capacity  int // in blocks
 
-	lru     *list.List // front = most recent
-	entries map[int64]*list.Element
+	entries              map[int64]*entry
+	lruHead, lruTail     *entry // head = most recent
+	dirtyHead, dirtyTail *entry // head = oldest dirty
+	dirtyLen             int
 
-	dirty      map[int64]bool
-	dirtyOrder *list.List // front = oldest dirty, for destage
-	dirtyElem  map[int64]*list.Element
+	// Scratch buffers behind the returned ranges (see Read) and the block
+	// lists they are coalesced from.
+	missBuf, rangeBuf []Range
+	blockBuf          []int64
 
 	hits       uint64
 	misses     uint64
@@ -45,9 +51,13 @@ type Cache struct {
 	writeLookups uint64
 }
 
+// entry is one resident block with its links on the LRU list and, while
+// dirty, on the dirty list.
 type entry struct {
-	block int64
-	dirty bool
+	block                int64
+	dirty                bool
+	lruPrev, lruNext     *entry
+	dirtyPrev, dirtyNext *entry
 }
 
 // New creates a cache of capacityBytes split into blockSize blocks. A zero
@@ -62,13 +72,9 @@ func New(capacityBytes, blockSize int64) *Cache {
 		capBlocks = 0
 	}
 	return &Cache{
-		blockSize:  blockSize,
-		capacity:   capBlocks,
-		lru:        list.New(),
-		entries:    map[int64]*list.Element{},
-		dirty:      map[int64]bool{},
-		dirtyOrder: list.New(),
-		dirtyElem:  map[int64]*list.Element{},
+		blockSize: blockSize,
+		capacity:  capBlocks,
+		entries:   map[int64]*entry{},
 	}
 }
 
@@ -76,10 +82,10 @@ func New(capacityBytes, blockSize int64) *Cache {
 func (c *Cache) BlockSize() int64 { return c.blockSize }
 
 // Len returns the number of resident blocks.
-func (c *Cache) Len() int { return c.lru.Len() }
+func (c *Cache) Len() int { return len(c.entries) }
 
 // DirtyLen returns the number of dirty resident blocks.
-func (c *Cache) DirtyLen() int { return c.dirtyOrder.Len() }
+func (c *Cache) DirtyLen() int { return c.dirtyLen }
 
 // Stats returns lifetime hit/miss/destage counters. Hits and misses count
 // blocks, not requests.
@@ -112,112 +118,171 @@ func (c *Cache) blocksOf(off, size int64) (first, last int64) {
 // (coalesced, block-aligned) and any dirty blocks evicted while inserting
 // the missed blocks. The caller must read the misses from the array and
 // write back the evictions.
+//
+// Both slices alias the cache's scratch buffers: they stay valid until
+// the next Read, Write or FlushOldest on this cache. A caller that needs
+// them longer must copy them.
 func (c *Cache) Read(off, size int64) (misses, evictions []Range) {
 	if c.capacity == 0 {
-		return []Range{{Off: off, Size: size}}, nil
+		c.missBuf = append(c.missBuf[:0], Range{Off: off, Size: size})
+		return c.missBuf, nil
 	}
 	first, last := c.blocksOf(off, size)
-	var missBlocks []int64
+	c.blockBuf = c.blockBuf[:0]
 	for b := first; b <= last; b++ {
 		c.readLookups++
-		if el, ok := c.entries[b]; ok {
+		if e, ok := c.entries[b]; ok {
 			c.hits++
-			c.lru.MoveToFront(el)
+			c.touch(e)
 			continue
 		}
 		c.misses++
-		missBlocks = append(missBlocks, b)
+		c.blockBuf = append(c.blockBuf, b)
 	}
-	for _, b := range missBlocks {
-		evictions = append(evictions, c.insert(b, false)...)
+	c.rangeBuf = c.rangeBuf[:0]
+	for _, b := range c.blockBuf {
+		c.insert(b, false)
 	}
-	return coalesce(missBlocks, c.blockSize), evictions
+	c.missBuf = appendCoalesced(c.missBuf[:0], c.blockBuf, c.blockSize)
+	return c.missBuf, c.rangeBuf
 }
 
 // Write absorbs a logical write, marking the covered blocks dirty, and
 // returns any dirty blocks evicted to make room. Partially covered blocks
 // are treated as allocate-on-write (no fetch-before-write; the simulated
 // destage rewrites whole blocks, a standard simplification).
+//
+// The result aliases a scratch buffer and stays valid until the next
+// Read, Write or FlushOldest on this cache.
 func (c *Cache) Write(off, size int64) (evictions []Range) {
 	if c.capacity == 0 {
-		return []Range{{Off: off, Size: size}}
+		c.rangeBuf = append(c.rangeBuf[:0], Range{Off: off, Size: size})
+		return c.rangeBuf
 	}
 	first, last := c.blocksOf(off, size)
+	c.rangeBuf = c.rangeBuf[:0]
 	for b := first; b <= last; b++ {
 		c.writeLookups++
-		if el, ok := c.entries[b]; ok {
+		if e, ok := c.entries[b]; ok {
 			c.writeHits++
-			c.lru.MoveToFront(el)
-			c.markDirty(el.Value.(*entry))
+			c.touch(e)
+			c.markDirty(e)
 			continue
 		}
 		c.writeAlloc++
-		evictions = append(evictions, c.insert(b, true)...)
+		c.insert(b, true)
 	}
-	return evictions
+	return c.rangeBuf
 }
 
-// insert adds a block (evicting as needed) and returns destage ranges for
-// evicted dirty blocks.
-func (c *Cache) insert(block int64, dirty bool) []Range {
-	var destage []int64
-	for c.lru.Len() >= c.capacity {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(*entry)
-		c.lru.Remove(back)
-		delete(c.entries, ev.block)
-		if ev.dirty {
+// insert makes a block resident as the most recent entry. A full cache
+// first evicts its least recent entry — the cache never exceeds capacity,
+// so that is at most one — appending the block's destage range to
+// rangeBuf when it was dirty, and reuses the entry for the new block.
+func (c *Cache) insert(block int64, dirty bool) {
+	var e *entry
+	if len(c.entries) < c.capacity {
+		e = &entry{}
+	} else {
+		e = c.lruTail
+		c.unlinkLRU(e)
+		delete(c.entries, e.block)
+		if e.dirty {
 			c.destages++
-			destage = append(destage, ev.block)
-			c.unmarkDirty(ev.block)
+			c.rangeBuf = append(c.rangeBuf, Range{Off: e.block * c.blockSize, Size: c.blockSize})
+			c.unlinkDirty(e)
 		}
+		*e = entry{}
 	}
-	e := &entry{block: block, dirty: false}
-	c.entries[block] = c.lru.PushFront(e)
+	e.block = block
+	c.entries[block] = e
+	c.pushLRU(e)
 	if dirty {
 		c.markDirty(e)
 	}
-	return coalesce(destage, c.blockSize)
 }
 
+// touch moves a resident entry to the most recent end of the LRU list.
+func (c *Cache) touch(e *entry) {
+	if c.lruHead != e {
+		c.unlinkLRU(e)
+		c.pushLRU(e)
+	}
+}
+
+func (c *Cache) pushLRU(e *entry) {
+	e.lruPrev, e.lruNext = nil, c.lruHead
+	if c.lruHead != nil {
+		c.lruHead.lruPrev = e
+	} else {
+		c.lruTail = e
+	}
+	c.lruHead = e
+}
+
+func (c *Cache) unlinkLRU(e *entry) {
+	if e.lruPrev != nil {
+		e.lruPrev.lruNext = e.lruNext
+	} else {
+		c.lruHead = e.lruNext
+	}
+	if e.lruNext != nil {
+		e.lruNext.lruPrev = e.lruPrev
+	} else {
+		c.lruTail = e.lruPrev
+	}
+	e.lruPrev, e.lruNext = nil, nil
+}
+
+// markDirty appends a clean entry to the dirty list (newest end).
 func (c *Cache) markDirty(e *entry) {
 	if e.dirty {
 		return
 	}
 	e.dirty = true
-	c.dirty[e.block] = true
-	c.dirtyElem[e.block] = c.dirtyOrder.PushBack(e.block)
+	e.dirtyPrev, e.dirtyNext = c.dirtyTail, nil
+	if c.dirtyTail != nil {
+		c.dirtyTail.dirtyNext = e
+	} else {
+		c.dirtyHead = e
+	}
+	c.dirtyTail = e
+	c.dirtyLen++
 }
 
-func (c *Cache) unmarkDirty(block int64) {
-	if el, ok := c.dirtyElem[block]; ok {
-		c.dirtyOrder.Remove(el)
-		delete(c.dirtyElem, block)
+// unlinkDirty removes a dirty entry from the dirty list and clears its
+// dirty bit.
+func (c *Cache) unlinkDirty(e *entry) {
+	if e.dirtyPrev != nil {
+		e.dirtyPrev.dirtyNext = e.dirtyNext
+	} else {
+		c.dirtyHead = e.dirtyNext
 	}
-	delete(c.dirty, block)
+	if e.dirtyNext != nil {
+		e.dirtyNext.dirtyPrev = e.dirtyPrev
+	} else {
+		c.dirtyTail = e.dirtyPrev
+	}
+	e.dirtyPrev, e.dirtyNext = nil, nil
+	e.dirty = false
+	c.dirtyLen--
 }
 
 // FlushOldest cleans up to max dirty blocks (oldest first) and returns the
 // ranges to write out. The blocks stay resident, now clean.
+//
+// The result aliases a scratch buffer and stays valid until the next
+// Read, Write or FlushOldest on this cache.
 func (c *Cache) FlushOldest(max int) []Range {
-	var blocks []int64
-	for i := 0; i < max; i++ {
-		front := c.dirtyOrder.Front()
-		if front == nil {
-			break
-		}
-		b := front.Value.(int64)
-		if el, ok := c.entries[b]; ok {
-			el.Value.(*entry).dirty = false
-		}
-		c.unmarkDirty(b)
+	c.blockBuf = c.blockBuf[:0]
+	for i := 0; i < max && c.dirtyHead != nil; i++ {
+		e := c.dirtyHead
+		c.unlinkDirty(e)
 		c.destages++
-		blocks = append(blocks, b)
+		c.blockBuf = append(c.blockBuf, e.block)
 	}
-	return coalesce(blocks, c.blockSize)
+	c.rangeBuf = appendCoalesced(c.rangeBuf[:0], c.blockBuf, c.blockSize)
+	return c.rangeBuf
 }
 
 // Fingerprint digests the cache's full structural state — the resident
@@ -236,16 +301,15 @@ func (c *Cache) Fingerprint() uint64 {
 	}
 	h := mix(14695981039346656037, uint64(c.blockSize))
 	h = mix(h, uint64(c.capacity))
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
+	for e := c.lruHead; e != nil; e = e.lruNext {
 		v := uint64(e.block) << 1
 		if e.dirty {
 			v |= 1
 		}
 		h = mix(h, v)
 	}
-	for el := c.dirtyOrder.Front(); el != nil; el = el.Next() {
-		h = mix(h, uint64(el.Value.(int64)))
+	for e := c.dirtyHead; e != nil; e = e.dirtyNext {
+		h = mix(h, uint64(e.block))
 	}
 	return h
 }
@@ -256,22 +320,21 @@ func (c *Cache) Contains(off int64) bool {
 	return ok
 }
 
-// coalesce turns sorted-ish block lists into merged byte ranges. Blocks
-// may arrive unsorted; adjacent blocks merge.
-func coalesce(blocks []int64, blockSize int64) []Range {
+// appendCoalesced sorts blocks in place and appends them to dst as merged
+// byte ranges of bs-byte blocks: adjacent blocks merge and duplicates
+// collapse.
+func appendCoalesced(dst []Range, blocks []int64, bs int64) []Range {
 	if len(blocks) == 0 {
-		return nil
+		return dst
 	}
-	sorted := append([]int64(nil), blocks...)
 	// Insertion sort: lists are tiny and mostly sorted.
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+	for i := 1; i < len(blocks); i++ {
+		for j := i; j > 0 && blocks[j] < blocks[j-1]; j-- {
+			blocks[j], blocks[j-1] = blocks[j-1], blocks[j]
 		}
 	}
-	var out []Range
-	start, prev := sorted[0], sorted[0]
-	for _, b := range sorted[1:] {
+	start, prev := blocks[0], blocks[0]
+	for _, b := range blocks[1:] {
 		if b == prev { // duplicate
 			continue
 		}
@@ -279,9 +342,8 @@ func coalesce(blocks []int64, blockSize int64) []Range {
 			prev = b
 			continue
 		}
-		out = append(out, Range{Off: start * blockSize, Size: (prev - start + 1) * blockSize})
+		dst = append(dst, Range{Off: start * bs, Size: (prev - start + 1) * bs})
 		start, prev = b, b
 	}
-	out = append(out, Range{Off: start * blockSize, Size: (prev - start + 1) * blockSize})
-	return out
+	return append(dst, Range{Off: start * bs, Size: (prev - start + 1) * bs})
 }

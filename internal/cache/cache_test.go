@@ -138,7 +138,7 @@ func TestZeroCapacityPassesThrough(t *testing.T) {
 }
 
 func TestCoalesceHandlesDuplicatesAndGaps(t *testing.T) {
-	got := coalesce([]int64{5, 1, 2, 2, 9, 0}, 10)
+	got := appendCoalesced(nil, []int64{5, 1, 2, 2, 9, 0}, 10)
 	want := []Range{{0, 30}, {50, 10}, {90, 10}}
 	if len(got) != len(want) {
 		t.Fatalf("coalesce = %v, want %v", got, want)

@@ -135,6 +135,12 @@ type Disk struct {
 	current  *Request
 	inflight simevent.Event
 	headLBA  int64
+	// curSvc is the in-flight request's service time. completeFn is the
+	// in-flight completion event's callback: a disk serves one request at
+	// a time, so a single callback bound on first use serves every
+	// request without a per-request closure.
+	curSvc     float64
+	completeFn func()
 
 	idleSince float64
 	account   *stats.StateAccount
@@ -521,12 +527,17 @@ func (d *Disk) startNext() {
 	r.Start = now
 	d.current = r
 	svc, pos, seq := d.serviceTime(r)
-	d.curPos, d.curSeq = pos, seq
+	d.curPos, d.curSeq, d.curSvc = pos, seq, svc
 	d.setState(Busy, d.spec.ActivePower[d.level])
-	d.inflight = d.engine.At(now+svc, func() { d.complete(r, svc) })
+	if d.completeFn == nil {
+		d.completeFn = d.complete
+	}
+	d.inflight = d.engine.At(now+svc, d.completeFn)
 }
 
-func (d *Disk) complete(r *Request, svc float64) {
+// complete finishes the in-flight request when its service time is up.
+func (d *Disk) complete() {
+	r, svc := d.current, d.curSvc
 	now := d.now()
 	d.current = nil
 	d.inflight = simevent.Event{}

@@ -9,10 +9,7 @@
 // writes); writes covering a full stripe row skip the pre-reads.
 package raid
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Level selects the redundancy scheme of a group.
 type Level int
@@ -158,23 +155,12 @@ type piece struct {
 	size   int64
 }
 
-func (g Geometry) split(off, size int64) []piece {
-	if off < 0 || size <= 0 {
-		panic(fmt.Sprintf("raid: invalid access [%d,+%d)", off, size))
-	}
-	var out []piece
-	for size > 0 {
-		strip := off / g.StripeUnit
-		within := off % g.StripeUnit
-		n := g.StripeUnit - within
-		if n > size {
-			n = size
-		}
-		out = append(out, piece{strip: strip, within: within, size: n})
-		off += n
-		size -= n
-	}
-	return out
+// pieceAt returns the fragment of [off, end) that starts at off and stays
+// inside one strip. Walking off forward by each piece's size visits the
+// access strip by strip in ascending order.
+func (g Geometry) pieceAt(off, end int64) piece {
+	within := off % g.StripeUnit
+	return piece{strip: off / g.StripeUnit, within: within, size: min(g.StripeUnit-within, end-off)}
 }
 
 // Map translates a logical byte access into the physical operations it
@@ -183,131 +169,108 @@ func (g Geometry) split(off, size int64) []piece {
 // read-modify-write must complete its pre-reads before committing — the
 // array layer preserves this two-phase structure.
 func (g Geometry) Map(off, size int64, write bool) []PhysIO {
-	pieces := g.split(off, size)
-	if !write {
-		out := make([]PhysIO, 0, len(pieces))
-		for _, p := range pieces {
-			disk, row := g.stripLocation(p.strip)
-			out = append(out, PhysIO{
-				Disk:   disk,
-				Offset: row*g.StripeUnit + p.within,
-				Size:   p.size,
-				Kind:   DataRead,
-			})
-		}
-		return coalescePhys(out)
-	}
-	if g.Level == RAID0 {
-		out := make([]PhysIO, 0, len(pieces))
-		for _, p := range pieces {
-			disk, row := g.stripLocation(p.strip)
-			out = append(out, PhysIO{
-				Disk:   disk,
-				Offset: row*g.StripeUnit + p.within,
-				Size:   p.size,
-				Write:  true,
-				Kind:   DataWrite,
-			})
-		}
-		return coalescePhys(out)
-	}
-	if g.Level == RAID1 {
-		out := make([]PhysIO, 0, 2*len(pieces))
-		for _, p := range pieces {
-			disk, row := g.stripLocation(p.strip)
-			phys := row*g.StripeUnit + p.within
-			out = append(out,
-				PhysIO{Disk: disk, Offset: phys, Size: p.size, Write: true, Kind: DataWrite},
-				PhysIO{Disk: g.mirrorOf(disk), Offset: phys, Size: p.size, Write: true, Kind: DataWrite},
-			)
-		}
-		return coalescePhys(out)
-	}
-	return g.mapRAID5Write(pieces)
+	return g.AppendMap(nil, off, size, write)
 }
 
-// coalescePhys merges physically contiguous operations on the same disk
-// with the same kind — a long sequential logical run lands as one streamed
-// transfer per disk instead of a strip-sized I/O per row. The input is
-// ordered by logical address, so per-disk operations arrive in ascending
-// physical order already; a single stable pass suffices and preserves the
-// read-before-write phase structure.
-func coalescePhys(ios []PhysIO) []PhysIO {
-	if len(ios) < 2 {
-		return ios
+// AppendMap is Map writing into a caller-owned buffer: it appends the
+// access's physical operations to dst and returns the extended slice.
+// Passing a reused buffer truncated to zero length (buf[:0]) maps without
+// allocating once the buffer has grown to the largest access seen.
+func (g Geometry) AppendMap(dst []PhysIO, off, size int64, write bool) []PhysIO {
+	if off < 0 || size <= 0 {
+		panic(fmt.Sprintf("raid: invalid access [%d,+%d)", off, size))
 	}
-	out := ios[:0]
-	last := map[int]int{} // disk -> index in out of its latest op
-	for _, io := range ios {
-		if li, ok := last[io.Disk]; ok {
-			prev := &out[li]
-			if prev.Kind == io.Kind && prev.Offset+prev.Size == io.Offset {
-				prev.Size += io.Size
-				continue
+	end := off + size
+	if write && g.Level == RAID5 {
+		dst = g.appendRAID5Phase(dst, off, end, false)
+		return g.appendRAID5Phase(dst, off, end, true)
+	}
+	start := len(dst)
+	for p := off; p < end; {
+		pc := g.pieceAt(p, end)
+		disk, row := g.stripLocation(pc.strip)
+		io := PhysIO{Disk: disk, Offset: row*g.StripeUnit + pc.within, Size: pc.size, Kind: DataRead}
+		if write {
+			io.Write, io.Kind = true, DataWrite
+		}
+		dst = append(dst, io)
+		if write && g.Level == RAID1 {
+			io.Disk = g.mirrorOf(disk)
+			dst = append(dst, io)
+		}
+		p += pc.size
+	}
+	return coalescePhys(dst, start)
+}
+
+// appendRAID5Phase appends one phase of a RAID-5 write of [off, end): the
+// pre-reads (old data and old parity of every partially written stripe
+// row) or the writes (new data, then new parity, row by row). Pieces
+// arrive in ascending strip order, so each stripe row is one consecutive
+// run of the access and is sized before its operations are emitted.
+func (g Geometry) appendRAID5Phase(dst []PhysIO, off, end int64, writes bool) []PhysIO {
+	start := len(dst)
+	rowBytes := int64(g.dataDisks()) * g.StripeUnit
+	for rowOff := off; rowOff < end; {
+		row := rowOff / rowBytes
+		rowEnd := min((row+1)*rowBytes, end)
+		fullStripe := rowEnd-rowOff == rowBytes
+		// Union of the row's within-strip ranges sizes the parity I/O (a
+		// whole strip for a full stripe).
+		lo, hi := g.StripeUnit, int64(0)
+		for p := rowOff; p < rowEnd; {
+			pc := g.pieceAt(p, rowEnd)
+			lo, hi = min(lo, pc.within), max(hi, pc.within+pc.size)
+			if writes || !fullStripe {
+				disk, r := g.stripLocation(pc.strip)
+				io := PhysIO{Disk: disk, Offset: r*g.StripeUnit + pc.within, Size: pc.size, Kind: DataRead}
+				if writes {
+					io.Write, io.Kind = true, DataWrite
+				}
+				dst = append(dst, io)
+			}
+			p += pc.size
+		}
+		parity := PhysIO{Disk: g.parityDisk(row), Offset: row*g.StripeUnit + lo, Size: hi - lo}
+		switch {
+		case writes:
+			parity.Write, parity.Kind = true, ParityWrite
+			dst = append(dst, parity)
+		case !fullStripe:
+			parity.Kind = ParityRead
+			dst = append(dst, parity)
+		}
+		rowOff = rowEnd
+	}
+	return coalescePhys(dst, start)
+}
+
+// coalescePhys merges, within ios[start:], physically contiguous
+// operations on the same disk with the same kind — a long sequential
+// logical run lands as one streamed transfer per disk instead of a
+// strip-sized I/O per row. The input is ordered by logical address, so
+// per-disk operations arrive in ascending physical order already; a
+// single stable in-place pass suffices and preserves the read-before-write
+// phase structure.
+func coalescePhys(ios []PhysIO, start int) []PhysIO {
+	out := ios[:start]
+	for _, io := range ios[start:] {
+		// The disk's latest kept op is the last one in out with its index.
+		merged := false
+		for j := len(out) - 1; j >= start; j-- {
+			if prev := &out[j]; prev.Disk == io.Disk {
+				if prev.Kind == io.Kind && prev.Offset+prev.Size == io.Offset {
+					prev.Size += io.Size
+					merged = true
+				}
+				break
 			}
 		}
-		out = append(out, io)
-		last[io.Disk] = len(out) - 1
+		if !merged {
+			out = append(out, io)
+		}
 	}
 	return out
-}
-
-// rowAccess accumulates the pieces of one stripe row.
-type rowAccess struct {
-	row    int64
-	pieces []piece
-	bytes  int64
-	// union of within-strip ranges, for sizing the parity I/O
-	lo, hi int64
-}
-
-func (g Geometry) mapRAID5Write(pieces []piece) []PhysIO {
-	rows := map[int64]*rowAccess{}
-	var order []int64
-	dd := int64(g.dataDisks())
-	for _, p := range pieces {
-		row := p.strip / dd
-		ra := rows[row]
-		if ra == nil {
-			ra = &rowAccess{row: row, lo: p.within, hi: p.within + p.size}
-			rows[row] = ra
-			order = append(order, row)
-		}
-		ra.pieces = append(ra.pieces, p)
-		ra.bytes += p.size
-		if p.within < ra.lo {
-			ra.lo = p.within
-		}
-		if p.within+p.size > ra.hi {
-			ra.hi = p.within + p.size
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-
-	var reads, writes []PhysIO
-	for _, rowIdx := range order {
-		ra := rows[rowIdx]
-		pd := g.parityDisk(ra.row)
-		fullStripe := ra.bytes == dd*g.StripeUnit
-		for _, p := range ra.pieces {
-			disk, row := g.stripLocation(p.strip)
-			phys := row*g.StripeUnit + p.within
-			if !fullStripe {
-				reads = append(reads, PhysIO{Disk: disk, Offset: phys, Size: p.size, Kind: DataRead})
-			}
-			writes = append(writes, PhysIO{Disk: disk, Offset: phys, Size: p.size, Write: true, Kind: DataWrite})
-		}
-		parityOff := ra.row*g.StripeUnit + ra.lo
-		paritySize := ra.hi - ra.lo
-		if fullStripe {
-			parityOff = ra.row * g.StripeUnit
-			paritySize = g.StripeUnit
-		} else {
-			reads = append(reads, PhysIO{Disk: pd, Offset: parityOff, Size: paritySize, Kind: ParityRead})
-		}
-		writes = append(writes, PhysIO{Disk: pd, Offset: parityOff, Size: paritySize, Write: true, Kind: ParityWrite})
-	}
-	return append(coalescePhys(reads), coalescePhys(writes)...)
 }
 
 // Phases splits a Map result into its pre-read and write phases. The

@@ -257,7 +257,10 @@ func TestWriteAmplificationProperty(t *testing.T) {
 		off := int64(rng.Intn(50000))
 		size := int64(1 + rng.Intn(20000))
 		ios := g.Map(off, size, true)
-		pieces := g.split(off, size)
+		var pieces []piece
+		for p := off; p < off+size; p += pieces[len(pieces)-1].size {
+			pieces = append(pieces, g.pieceAt(p, off+size))
+		}
 		rowsTouched := map[int64]bool{}
 		for _, p := range pieces {
 			rowsTouched[p.strip/int64(g.dataDisks())] = true
@@ -337,7 +340,7 @@ func TestCoalescePreservesBytesProperty(t *testing.T) {
 			want[[2]int{io.Disk, int(io.Kind)}] += io.Size
 		}
 		got := map[[2]int]int64{}
-		for _, io := range coalescePhys(append([]PhysIO(nil), raw...)) {
+		for _, io := range coalescePhys(append([]PhysIO(nil), raw...), 0) {
 			got[[2]int{io.Disk, int(io.Kind)}] += io.Size
 		}
 		for k, v := range want {

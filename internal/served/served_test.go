@@ -368,7 +368,9 @@ func TestFlushEviction(t *testing.T) {
 // Suspend → resume: the resumed job's metrics stream must be an exact
 // byte tail of the uninterrupted run's, and the final result identical.
 func TestSuspendResumeTail(t *testing.T) {
-	sc := testScenario(t, 7, 600)
+	// Long enough in simulated time that the job is still running when
+	// the suspend below lands (it skips otherwise).
+	sc := testScenario(t, 7, 2400)
 	wantResult, wantMetrics, _, err := DirectRun(sc, false)
 	if err != nil {
 		t.Fatal(err)

@@ -420,35 +420,28 @@ func Run(cfg Config, workload trace.Source, ctrl Controller, duration float64) (
 		}
 	}
 
-	process := func(r trace.Request) {
-		// record is recordResponse bound to this request, so every
-		// completion path below also feeds the per-request hook when one
-		// is armed. With a nil hook the wrapper reduces to the exact
-		// legacy call and the run is byte-identical.
-		record := func(lat float64) {
-			recordResponse(lat, r.Write)
-			if cfg.OnResponse != nil {
-				cfg.OnResponse(r, lat)
-			}
+	// Every completion path records through reqs, so the per-request hook
+	// sees each request exactly once when it is armed.
+	reqs := &requestPool{engine: engine, record: func(r trace.Request, lat float64) {
+		recordResponse(lat, r.Write)
+		if cfg.OnResponse != nil {
+			cfg.OnResponse(r, lat)
 		}
+	}}
+
+	process := func(r trace.Request) {
 		if sampler != nil {
 			sampler.onArrival(engine.Now())
 		}
 		if arrivalObs != nil {
 			arrivalObs.OnArrival(r)
 		}
-		if router != nil {
-			start := engine.Now()
-			if router.Route(r, func() {
-				record(engine.Now() - start)
-			}) {
-				return
-			}
+		rq := reqs.get(r)
+		if router != nil && router.Route(r, rq.routedFn) {
+			return
 		}
 		if ctrlCache == nil {
-			arr.Submit(r.Off, r.Size, r.Write, func(lat float64) {
-				record(lat)
-			})
+			arr.Submit(r.Off, r.Size, r.Write, rq.arrayFn)
 			return
 		}
 		if r.Write {
@@ -456,43 +449,37 @@ func Run(cfg Config, workload trace.Source, ctrl Controller, duration float64) (
 			// the background.
 			destage(ctrlCache.Write(r.Off, r.Size))
 			res.CacheHits++
-			engine.Schedule(CacheHitLatency, func() {
-				record(CacheHitLatency)
-			})
+			engine.Schedule(CacheHitLatency, rq.hitFn)
 			return
 		}
 		misses, evictions := ctrlCache.Read(r.Off, r.Size)
 		destage(evictions)
 		if len(misses) == 0 {
 			res.CacheHits++
-			engine.Schedule(CacheHitLatency, func() {
-				record(CacheHitLatency)
-			})
+			engine.Schedule(CacheHitLatency, rq.hitFn)
 			return
 		}
-		start := engine.Now()
-		remaining := len(misses)
+		rq.remaining = len(misses)
 		for _, m := range misses {
 			off, size := clampRange(m.Off, m.Size, arr.LogicalBytes())
 			if size <= 0 {
-				remaining--
+				rq.remaining--
 				continue
 			}
-			arr.Submit(off, size, false, func(float64) {
-				remaining--
-				if remaining == 0 {
-					record(engine.Now() - start + CacheHitLatency)
-				}
-			})
+			arr.Submit(off, size, false, rq.missFn)
 		}
-		if remaining == 0 { // whole request clamped away (volume edge)
-			record(CacheHitLatency)
+		if rq.remaining == 0 { // whole request clamped away (volume edge)
+			rq.complete(CacheHitLatency)
 		}
 	}
 
-	// Arrival pump: schedule each request lazily at its timestamp.
-	var pump func()
-	pump = func() {
+	// Arrival pump: schedule each request lazily at its timestamp. Only
+	// one arrival is ever pending, so one callback serves them all.
+	var (
+		next   trace.Request
+		arrive func()
+	)
+	pump := func() {
 		r, ok := workload.Next()
 		if !ok || r.Time > duration {
 			return
@@ -501,10 +488,12 @@ func Run(cfg Config, workload trace.Source, ctrl Controller, duration float64) (
 		if at < engine.Now() {
 			at = engine.Now()
 		}
-		engine.At(at, func() {
-			process(r)
-			pump()
-		})
+		next = r
+		engine.At(at, arrive)
+	}
+	arrive = func() {
+		process(next)
+		pump()
 	}
 
 	ctrl.Init(env)

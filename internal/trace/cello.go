@@ -110,10 +110,18 @@ type Cello struct {
 	seq     *dist.Bernoulli
 
 	volBytes  int64
-	pending   []Request
-	pendPos   int
-	burstTime float64 // start time of the next burst
+	burstTime float64 // start time of the latest burst
 	lastEmit  float64
+
+	// The current burst: left requests remain, the next at time t and
+	// offset pos in the volume slice at base. Each request is drawn when
+	// Next emits it; the generator owns its RNG, so the stream does not
+	// depend on when Next is called, and no burst is ever buffered.
+	left      int
+	t         float64
+	pos, base int64
+	size      int64
+	write     bool
 }
 
 // NewCello validates the configuration and builds the generator.
@@ -147,18 +155,31 @@ func NewCello(cfg CelloConfig) (*Cello, error) {
 
 // Next implements Source.
 func (g *Cello) Next() (Request, bool) {
-	for g.pendPos >= len(g.pending) {
-		if !g.generateBurst() {
+	for g.left == 0 || g.t > g.cfg.Duration {
+		if !g.startBurst() {
 			return Request{}, false
 		}
 	}
-	r := g.pending[g.pendPos]
-	g.pendPos++
+	if g.pos+g.size > g.base+g.volBytes {
+		g.pos = g.base // wrap within the volume
+	}
+	r := Request{Time: g.t, Off: g.pos, Size: g.size, Write: g.write}
+	if g.seq.Sample() {
+		g.pos += g.size
+	} else {
+		g.pos = g.base + g.rng.Int63n(g.volBytes-g.size)/g.cfg.Align*g.cfg.Align
+		g.write = !g.isRead.Sample()
+	}
+	g.t += g.gap.Sample()
+	g.left--
 	g.lastEmit = r.Time
 	return r, true
 }
 
-func (g *Cello) generateBurst() bool {
+// startBurst draws the next burst's start, length, volume, request size,
+// first offset and direction. It reports false once bursts start past
+// the run's duration.
+func (g *Cello) startBurst() bool {
 	start := g.bursts.Next(g.burstTime)
 	if start < g.lastEmit {
 		start = g.lastEmit
@@ -175,29 +196,10 @@ func (g *Cello) generateBurst() bool {
 		n = 10000 // clip the Pareto tail: one burst must not swallow the run
 	}
 	vol := int64(g.volume.Sample())
-	base := vol * g.volBytes
-	size := g.cfg.SizesBytes[g.sizes.Sample()]
-	pos := base + g.rng.Int63n(g.volBytes-size)/g.cfg.Align*g.cfg.Align
-	write := !g.isRead.Sample()
-
-	g.pending = g.pending[:0]
-	g.pendPos = 0
-	t := start
-	for i := 0; i < n; i++ {
-		if t > g.cfg.Duration {
-			break
-		}
-		if pos+size > base+g.volBytes {
-			pos = base // wrap within the volume
-		}
-		g.pending = append(g.pending, Request{Time: t, Off: pos, Size: size, Write: write})
-		if g.seq.Sample() {
-			pos += size
-		} else {
-			pos = base + g.rng.Int63n(g.volBytes-size)/g.cfg.Align*g.cfg.Align
-			write = !g.isRead.Sample()
-		}
-		t += g.gap.Sample()
-	}
+	g.base = vol * g.volBytes
+	g.size = g.cfg.SizesBytes[g.sizes.Sample()]
+	g.pos = g.base + g.rng.Int63n(g.volBytes-g.size)/g.cfg.Align*g.cfg.Align
+	g.write = !g.isRead.Sample()
+	g.left, g.t = n, start
 	return true
 }
