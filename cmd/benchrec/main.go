@@ -28,13 +28,12 @@ func main() {
 		out      = flag.String("out", "", "write the bench record to this path (record mode)")
 		pr       = flag.Int("pr", 0, "pull-request ordinal stamped into the record (record mode)")
 		scale    = flag.Float64("scale", 0.05, "duration scale for the end-to-end reference run")
-		workers  = flag.Int("workers", 1, "intra-run engine width for the end-to-end run")
 		smoke    = flag.Bool("smoke", false, "gate mode: compare fresh engine kernels against -baseline and exit non-zero on regression")
 		baseline = flag.String("baseline", "", "baseline BENCH_NNNN.json for -smoke")
 	)
 	flag.Parse()
 
-	if err := validateFlags(*scale, *workers, *pr, *smoke, *out, *baseline); err != nil {
+	if err := validateFlags(*scale, *pr, *smoke, *out, *baseline); err != nil {
 		fmt.Fprintf(os.Stderr, "benchrec: %v\n", err)
 		os.Exit(2)
 	}
@@ -59,7 +58,7 @@ func main() {
 	report(eng)
 	fmt.Fprintf(os.Stderr, "timing reference suite at scale %g...\n", *scale)
 	start := time.Now()
-	if err := benchrec.RunSuite(*scale, *workers); err != nil {
+	if err := benchrec.RunSuite(*scale); err != nil {
 		fmt.Fprintf(os.Stderr, "benchrec: reference suite: %v\n", err)
 		os.Exit(1)
 	}
@@ -83,10 +82,9 @@ func report(e benchrec.EngineBench) {
 
 // validateFlags applies the numeric and mode rules. Table-tested in
 // main_test.go.
-func validateFlags(scale float64, workers, pr int, smoke bool, out, baseline string) error {
+func validateFlags(scale float64, pr int, smoke bool, out, baseline string) error {
 	if err := cliutil.FirstError(
 		cliutil.Positive("-scale", scale),
-		cliutil.PositiveInt("-workers", workers),
 		cliutil.NonNegativeInt("-pr", pr),
 	); err != nil {
 		return err

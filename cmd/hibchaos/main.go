@@ -8,7 +8,7 @@
 // Usage examples:
 //
 //	hibchaos -n 500                     # 500 scenarios, default seed
-//	hibchaos -seed 7 -n 5000 -par 8     # big soak, 8 workers
+//	hibchaos -seed 7 -n 5000 -par 8     # big soak, 8 scenarios at a time
 //	hibchaos -n 100 -out repros/        # write repro files on failure
 //	hibchaos -n 5000 -journal soak.jsonl          # durable verdicts
 //	hibchaos -n 5000 -journal soak.jsonl -resume  # continue a killed soak
@@ -41,7 +41,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "master seed; scenario i derives from (seed, i)")
 		n           = flag.Int("n", 200, "number of scenarios to generate and judge")
 		par         = flag.Int("par", 0, "worker pool width (0 = GOMAXPROCS, 1 = sequential)")
-		workers     = flag.Int("workers", 0, "force every scenario's intra-run engine width (0 = keep the per-scenario sampled value)")
 		budget      = flag.Int("budget", chaos.DefaultShrinkBudget, "max oracle executions spent shrinking each failure (1 execution = 3 simulation runs)")
 		out         = flag.String("out", "", "directory for repro files (one per failure)")
 		injectBug   = flag.Bool("inject-bug", false, "deliberately skew one disk's energy ledger in every scenario (self-test: the soak must catch and shrink it)")
@@ -51,7 +50,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*n, *par, *budget, *workers); err != nil {
+	if err := validateFlags(*n, *par, *budget); err != nil {
 		fmt.Fprintf(os.Stderr, "hibchaos: %v\n", err)
 		os.Exit(2)
 	}
@@ -71,7 +70,7 @@ func main() {
 	}()
 
 	opts := chaos.SoakOptions{
-		Seed: *seed, N: *n, Workers: *par, SimWorkers: *workers,
+		Seed: *seed, N: *n, Workers: *par,
 		ShrinkBudget: *budget, OutDir: *out, InjectBug: *injectBug,
 		Journal: *journalPath, Resume: *resume, Context: ctx,
 	}
@@ -102,11 +101,10 @@ func main() {
 
 // validateFlags applies the numeric-flag rules; one line, exit 2, never a
 // silently absurd soak. Table-tested in main_test.go.
-func validateFlags(n, par, budget, workers int) error {
+func validateFlags(n, par, budget int) error {
 	return cliutil.FirstError(
 		cliutil.NonNegativeInt("-n", n),
 		cliutil.NonNegativeInt("-par", par),
 		cliutil.PositiveInt("-budget", budget),
-		cliutil.NonNegativeInt("-workers", workers),
 	)
 }

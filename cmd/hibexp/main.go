@@ -6,7 +6,6 @@
 //	hibexp                      # run everything at default scale
 //	hibexp -run F1,F2 -scale 0.2
 //	hibexp -par 8               # fan out across 8 workers
-//	hibexp -workers 4           # partitioned engine inside each run
 //	hibexp -list
 //	hibexp -csv out/            # also write one CSV per table
 //	hibexp -metrics-dir obs/    # dump per-run metrics + trace streams
@@ -64,7 +63,6 @@ func main() {
 		scale       = flag.Float64("scale", 1.0, "duration scale factor (1.0 = full multi-hour runs)")
 		seed        = flag.Int64("seed", 1, "master random seed")
 		par         = flag.Int("par", 0, "worker pool width for experiments and their inner fan-outs (0 = GOMAXPROCS, 1 = sequential)")
-		workers     = flag.Int("workers", 1, "intra-run parallelism: worker goroutines per simulation for the group-partitioned engine (1 = sequential; output is identical for any value)")
 		csvDir      = flag.String("csv", "", "directory to also write per-table CSV files into")
 		list        = flag.Bool("list", false, "list experiments and exit")
 		verbose     = flag.Bool("v", false, "print progress while running")
@@ -84,7 +82,7 @@ func main() {
 	// Validate up front: a bad flag should be one clear line and a
 	// non-zero exit, not a silent clamp deep inside an experiment. The
 	// cliutil helpers also reject NaN, which `*scale <= 0` alone passes.
-	if err := validateFlags(*scale, *sampleEvery, *par, *workers, *retries); err != nil {
+	if err := validateFlags(*scale, *sampleEvery, *par, *retries); err != nil {
 		fmt.Fprintf(os.Stderr, "hibexp: %v\n", err)
 		os.Exit(2)
 	}
@@ -132,7 +130,7 @@ func main() {
 	}()
 
 	opts := experiments.Opts{
-		Scale: *scale, Seed: *seed, Workers: *par, SimWorkers: *workers,
+		Scale: *scale, Seed: *seed, Workers: *par,
 		MetricsDir: *metricsDir, SampleEvery: *sampleEvery,
 		Check:   *check,
 		Context: ctx,
@@ -305,11 +303,10 @@ func loadJournaled(jnl *journal.Journal, artDir, id string) ([]*report.Table, bo
 
 // validateFlags applies the numeric-flag rules. Table-tested in
 // main_test.go.
-func validateFlags(scale, sampleEvery float64, par, workers, retries int) error {
+func validateFlags(scale, sampleEvery float64, par, retries int) error {
 	return cliutil.FirstError(
 		cliutil.Positive("-scale", scale),
 		cliutil.NonNegativeInt("-par", par),
-		cliutil.PositiveInt("-workers", workers),
 		cliutil.NonNegative("-sample-every", sampleEvery),
 		cliutil.NonNegativeInt("-retries", retries),
 	)

@@ -40,14 +40,13 @@ func main() {
 		powerCap   = flag.Int("power-cap", 0, "max arrays licensed to run disks above the low speed tier (0 = uncapped)")
 		accel      = flag.Float64("fault-accel", 2000, "drive-aging acceleration for vintage fault sampling (simulated s -> drive s)")
 		par        = flag.Int("par", 0, "array pool width (0 = GOMAXPROCS, 1 = sequential); report bytes never depend on it")
-		workers    = flag.Int("workers", 0, "intra-run engine width per array (0/1 = sequential engine)")
 		check      = flag.Bool("check", false, "arm an invariant checker on every array's run")
 		metricsDir = flag.String("metrics-dir", "", "directory for per-array metrics/trace JSONL files (created if missing)")
 		verbose    = flag.Bool("v", false, "print progress to stderr")
 	)
 	flag.Parse()
 
-	if err := validateFlags(*arrays, *tenants, *powerCap, *par, *workers, *dur, *accel); err != nil {
+	if err := validateFlags(*arrays, *tenants, *powerCap, *par, *dur, *accel); err != nil {
 		fmt.Fprintf(os.Stderr, "hibfleet: %v\n", err)
 		os.Exit(2)
 	}
@@ -64,7 +63,7 @@ func main() {
 	cfg := fleet.Config{
 		Arrays: *arrays, Tenants: *tenants, Seed: *seed, Duration: *dur,
 		PowerCap: *powerCap, FaultAccel: *accel,
-		Par: *par, SimWorkers: *workers, Check: *check,
+		Par: *par, Check: *check,
 		MetricsDir: *metricsDir, Context: ctx,
 	}
 	if *verbose {
@@ -94,13 +93,12 @@ func main() {
 
 // validateFlags applies the numeric-flag rules; one line, exit 2, never a
 // silently absurd fleet. Table-tested in main_test.go.
-func validateFlags(arrays, tenants, powerCap, par, workers int, dur, accel float64) error {
+func validateFlags(arrays, tenants, powerCap, par int, dur, accel float64) error {
 	return cliutil.FirstError(
 		cliutil.PositiveInt("-arrays", arrays),
 		cliutil.NonNegativeInt("-tenants", tenants),
 		cliutil.NonNegativeInt("-power-cap", powerCap),
 		cliutil.NonNegativeInt("-par", par),
-		cliutil.NonNegativeInt("-workers", workers),
 		cliutil.Positive("-dur", dur),
 		cliutil.Positive("-fault-accel", accel),
 	)

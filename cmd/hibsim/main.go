@@ -61,7 +61,6 @@ func main() {
 		faultRate  = flag.Float64("fault-rate", 0, "ambient per-op transient error probability on every disk [0,1)")
 		spinFail   = flag.Float64("spin-fail-rate", 0, "per-attempt spin-up failure probability on every disk [0,1)")
 		retries    = flag.Int("retries", 2, "same-disk retries per transient error (used once faults are armed)")
-		workers    = flag.Int("workers", 1, "intra-run parallelism: worker goroutines for the group-partitioned engine (1 = sequential; output is identical for any value)")
 		opDeadline = flag.Duration("op-deadline", 250*time.Millisecond, "per-attempt deadline once faults are armed (0 disables)")
 
 		reproFile   = flag.String("repro", "", "replay a hibchaos repro file and re-judge it (all other flags ignored)")
@@ -89,7 +88,7 @@ func main() {
 		faultRate: *faultRate, spinFail: *spinFail, sampleEvery: *sampleEvery,
 		goal: *goal, opDeadline: *opDeadline,
 		groups: *groups, groupDisks: *groupDisks, levels: *levels, retries: *retries,
-		workers: *workers, cacheMB: *cacheMB,
+		cacheMB: *cacheMB,
 	}); err != nil {
 		fatalf("%v", err)
 	}
@@ -142,7 +141,6 @@ func main() {
 		Seed:               *seed,
 		ExpectedRotLatency: true,
 		Scheduler:          scheduler,
-		Workers:            *workers,
 	}
 
 	// Fault injection: a CSV schedule and/or ambient rates. Arming any of
@@ -265,7 +263,6 @@ func main() {
 		{"cli.tracefile", tf},
 		{"cli.rate", fmt.Sprintf("%g", *rate)},
 		{"cli.failat", fmt.Sprintf("%g", *failAt)},
-		{"cli.workers", fmt.Sprintf("%d", *workers)},
 		{"cli.epoch", fmt.Sprintf("%g", *epoch)},
 	}
 	if *snapOut != "" {
@@ -367,7 +364,7 @@ func main() {
 type simFlags struct {
 	duration, rate, failAt, epoch, faultRate, spinFail, sampleEvery float64
 	goal, opDeadline                                                time.Duration
-	groups, groupDisks, levels, retries, workers                    int
+	groups, groupDisks, levels, retries                             int
 	cacheMB                                                         int64
 }
 
@@ -387,7 +384,6 @@ func validateFlags(f simFlags) error {
 		cliutil.Prob("-fault-rate", f.faultRate),
 		cliutil.Prob("-spin-fail-rate", f.spinFail),
 		cliutil.NonNegativeInt("-retries", f.retries),
-		cliutil.PositiveInt("-workers", f.workers),
 		cliutil.NonNegative("-op-deadline", f.opDeadline.Seconds()),
 		cliutil.NonNegative("-sample-every", f.sampleEvery),
 	)

@@ -11,7 +11,7 @@ func goodFlags() simFlags {
 	return simFlags{
 		duration: 3600, rate: 50,
 		groups: 4, groupDisks: 4, levels: 5,
-		cacheMB: 256, retries: 2, workers: 1,
+		cacheMB: 256, retries: 2,
 		opDeadline: 250 * time.Millisecond,
 	}
 }
@@ -45,9 +45,6 @@ func TestValidateFlags(t *testing.T) {
 		{"negative retries", func(f *simFlags) { f.retries = -1 }, false},
 		{"negative op-deadline", func(f *simFlags) { f.opDeadline = -time.Second }, false},
 		{"negative sample-every", func(f *simFlags) { f.sampleEvery = -1 }, false},
-		{"parallel workers", func(f *simFlags) { f.workers = 8 }, true},
-		{"zero workers", func(f *simFlags) { f.workers = 0 }, false},
-		{"negative workers", func(f *simFlags) { f.workers = -4 }, false},
 		{"nan sample-every", func(f *simFlags) { f.sampleEvery = math.NaN() }, false},
 	}
 	for _, tc := range cases {

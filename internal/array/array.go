@@ -23,14 +23,6 @@ type Config struct {
 	Engine *simevent.Engine
 	Spec   *diskmodel.Spec
 
-	// StateEngines, when non-nil, holds one engine per group; group
-	// members fire their spin/shift transition events there instead of on
-	// Engine, which is what lets the partitioned runner advance idle
-	// groups concurrently (see internal/sim/parallel.go). Length must
-	// equal Groups. Spares (and anything swapped in from the spare pool)
-	// stay on the global Engine. Nil means fully sequential.
-	StateEngines []*simevent.Engine
-
 	// Groups*GroupDisks data disks are created. Each group is one RAID
 	// group of the given level.
 	Groups     int
@@ -89,9 +81,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.SpareDisks < 0 {
 		return fmt.Errorf("array: negative spare disks")
-	}
-	if c.StateEngines != nil && len(c.StateEngines) != c.Groups {
-		return fmt.Errorf("array: %d state engines for %d groups", len(c.StateEngines), c.Groups)
 	}
 	geo := raid.Geometry{Level: c.Level, Disks: c.GroupDisks, StripeUnit: c.StripeUnit}
 	if err := geo.Validate(); err != nil {
@@ -182,9 +171,6 @@ func New(cfg Config) (*Array, error) {
 				ExpectedRotLatency: cfg.ExpectedRotLatency,
 				Scheduler:          cfg.Scheduler,
 			})
-			if cfg.StateEngines != nil {
-				d.SetStateEngine(cfg.StateEngines[gi])
-			}
 			g.disks = append(g.disks, d)
 			a.all = append(a.all, d)
 			diskID++

@@ -179,8 +179,8 @@ func CollectE2E(scale float64, wallSeconds float64) E2EBench {
 // RunSuite executes every experiment at the given scale and returns any
 // error; the caller times it. Output tables are discarded — only the work
 // is wanted.
-func RunSuite(scale float64, simWorkers int) error {
-	opts := experiments.Opts{Scale: scale, Seed: 1, Workers: 1, SimWorkers: simWorkers}
+func RunSuite(scale float64) error {
+	opts := experiments.Opts{Scale: scale, Seed: 1, Workers: 1}
 	for _, e := range experiments.All() {
 		if _, err := e.Run(opts); err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)

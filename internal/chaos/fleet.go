@@ -24,9 +24,8 @@ const (
 
 // GenerateFleet samples the index-th fleet scenario of a soak seeded with
 // seed: deliberately tiny fleets (2-4 arrays, 1-2 simulated minutes) so
-// one scenario stays cheap, but with the power cap, tenant skew and
-// intra-run parallelism all in play. The result is a pure function of
-// (seed, index).
+// one scenario stays cheap, but with the power cap and tenant skew both
+// in play. The result is a pure function of (seed, index).
 func GenerateFleet(seed int64, index int) fleet.Config {
 	rng := rand.New(rand.NewSource(mix(seed, int64(index)^0x0F1EE7)))
 	cfg := fleet.Config{
@@ -37,9 +36,6 @@ func GenerateFleet(seed int64, index int) fleet.Config {
 	cfg.Tenants = cfg.Arrays * (1 + rng.Intn(4))
 	if rng.Intn(2) == 0 {
 		cfg.PowerCap = 1 + rng.Intn(cfg.Arrays)
-	}
-	if rng.Intn(3) == 0 {
-		cfg.SimWorkers = choice(rng, []int{2, 4})
 	}
 	return cfg
 }

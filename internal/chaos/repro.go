@@ -42,7 +42,6 @@ func WriteRepro(w io.Writer, s *Scenario) error {
 	fmt.Fprintf(bw, "cache-mb %d\n", s.CacheMB)
 	fmt.Fprintf(bw, "goal-ms %s\n", g(s.RespGoalMs))
 	fmt.Fprintf(bw, "epoch-frac %s\n", g(s.EpochFrac))
-	fmt.Fprintf(bw, "workers %d\n", s.Workers)
 	fmt.Fprintf(bw, "snapshot-t %s\n", g(s.SnapshotT))
 	fmt.Fprintf(bw, "workload %s\n", s.Workload)
 	fmt.Fprintf(bw, "rate %s\n", g(s.Rate))
@@ -193,7 +192,10 @@ func (s *Scenario) setField(key, val string) error {
 	case "epoch-frac":
 		return pFloat(&s.EpochFrac)
 	case "workers":
-		return pInt(&s.Workers)
+		// An engine width older repros and stored artifacts still carry;
+		// every run is sequential now, so it is checked and ignored.
+		var ignored int
+		return pInt(&ignored)
 	case "snapshot-t":
 		return pFloat(&s.SnapshotT)
 	case "workload":

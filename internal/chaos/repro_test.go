@@ -73,6 +73,7 @@ func TestParseReproErrors(t *testing.T) {
 		{"no header", "seed 1\n", "not a hibchaos repro"},
 		{"unknown key", valid("frobnicate 3\n"), `unknown key "frobnicate"`},
 		{"bad integer", valid("levels many\n"), "bad integer"},
+		{"bad workers", valid("workers many\n"), "workers: bad integer"},
 		{"nan duration", valid("duration NaN\n"), "bad number"},
 		{"inf rate", valid("rate +Inf\n"), "bad number"},
 		{"bad bool", valid("retry.auto-rebuild maybe\n"), "want true or false"},
@@ -101,5 +102,52 @@ func TestParseReproLineNumbers(t *testing.T) {
 	_, err := ParseRepro(strings.NewReader(in))
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("want line 3 in error, got %v", err)
+	}
+}
+
+// Repros and stored job artifacts written while scenarios had an engine
+// width carry a "workers N" line. It must still parse, change nothing, and
+// never be written again.
+func TestParseReproIgnoresWorkers(t *testing.T) {
+	s := Scenario{
+		Seed: 5, Duration: 60,
+		Scheme: "tpm", Family: "enterprise", Levels: 2,
+		Groups: 2, GroupDisks: 3, RAID: "raid5",
+		Workload: "oltp", Rate: 10,
+	}
+	var buf bytes.Buffer
+	if err := WriteRepro(&buf, &s); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	if strings.Contains(text, "workers") {
+		t.Fatalf("WriteRepro emitted a workers line:\n%s", text)
+	}
+	plain, err := ParseRepro(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := ParseRepro(strings.NewReader(strings.Replace(text, "epoch-frac", "workers 8\nepoch-frac", 1)))
+	if err != nil {
+		t.Fatalf("repro with a workers line: %v", err)
+	}
+	if !reflect.DeepEqual(plain, old) {
+		t.Fatalf("workers line changed the scenario:\n got %+v\nwant %+v", *old, *plain)
+	}
+	for _, sc := range []*Scenario{plain, old} {
+		if fail := Execute(sc); fail != nil {
+			t.Fatalf("Execute: %v", fail)
+		}
+	}
+	resP, _, fail := plain.runOnce(false)
+	if fail != nil {
+		t.Fatal(fail)
+	}
+	resO, _, fail := old.runOnce(false)
+	if fail != nil {
+		t.Fatal(fail)
+	}
+	if fp, fo := fingerprintOf(resP), fingerprintOf(resO); fp != fo {
+		t.Fatalf("fingerprints differ: %s", fp.diff(fo))
 	}
 }

@@ -86,7 +86,6 @@ const (
 	FailInvariant = "invariant"        // the armed checker found violations
 	FailRepeat    = "repeat-mismatch"  // an identical rerun diverged
 	FailArmed     = "armed-mismatch"   // arming the checker changed the run
-	FailWorkers   = "workers-mismatch" // parallel run diverged from sequential
 	FailRestore   = "restore-mismatch" // snapshot+restore diverged from straight-through
 )
 
@@ -191,14 +190,10 @@ func violationDetail(chk *invariant.Checker) string {
 }
 
 // RunsPerExecute is the number of simulation runs one Execute call costs:
-// armed, armed repeat, unarmed — plus a sequential unarmed twin when the
-// scenario runs the parallel engine, plus a restored run when the
+// armed, armed repeat, unarmed — plus a restored run when the
 // kill-and-restore oracle is armed.
 func (s *Scenario) RunsPerExecute() int {
 	n := 3
-	if s.Workers > 1 {
-		n++
-	}
 	if s.SnapshotT > 0 {
 		n++
 	}
@@ -211,12 +206,7 @@ func (s *Scenario) RunsPerExecute() int {
 //  2. repeating the armed run must reproduce its fingerprint exactly;
 //  3. an unarmed run must produce the identical fingerprint (the checker
 //     observes, it must not perturb);
-//  4. for Workers > 1, a sequential (workers=1) unarmed run must produce
-//     the identical fingerprint — the metamorphic contract of the
-//     group-partitioned engine. (Armed runs are always sequential, so
-//     oracle 3 already crosses the engines; this one attributes a
-//     divergence to the parallel path by name.)
-//  5. for SnapshotT > 0, the unarmed run additionally captures a state
+//  4. for SnapshotT > 0, the unarmed run additionally captures a state
 //     snapshot at SnapshotT (riding oracle 3: capture must not perturb),
 //     the snapshot must be a write→parse→write fixed point, and a run
 //     restored from the parsed snapshot must finish with the identical
@@ -295,16 +285,5 @@ func Execute(s *Scenario) *Failure {
 		}
 	}
 
-	if s.Workers > 1 {
-		seq := *s
-		seq.Workers = 1
-		resD, _, fail := seq.runOnce(false)
-		if fail != nil {
-			return &Failure{Kind: FailWorkers, Detail: "workers=1 rerun failed where parallel passed: " + fail.Error()}
-		}
-		if fpD := fingerprintOf(resD); fpC != fpD {
-			return &Failure{Kind: FailWorkers, Detail: fmt.Sprintf("workers=%d vs 1: %s", s.Workers, fpC.diff(fpD))}
-		}
-	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -75,21 +77,21 @@ func TestExecuteWithFaultsAndRetries(t *testing.T) {
 
 func TestExecuteKillAndRestoreOracle(t *testing.T) {
 	// The kill-and-restore oracle on a loaded scenario: faults, retries,
-	// multi-speed disks, the parallel engine, and a mid-run snapshot. A
-	// pass proves capture+restore reproduced the run bit for bit.
+	// multi-speed disks, and a mid-run snapshot. A pass proves
+	// capture+restore reproduced the run bit for bit.
 	s := Scenario{
 		Seed: 4, Duration: 90,
 		Scheme: "hibernator", Family: "enterprise", Levels: 3,
 		Groups: 2, GroupDisks: 3, RAID: "raid5",
 		Workload: "oltp", Rate: 20,
-		Workers: 4, SnapshotT: 45,
+		SnapshotT: 45,
 	}
 	s.Retry.MaxRetries = 2
 	s.Retry.Backoff = 0.01
 	s.Retry.OpDeadline = 0.25
 	s.Retry.AutoRebuild = true
 	s.Events = append(s.Events, mustParseEvent(t, "30,1,failstop"))
-	if got, want := s.RunsPerExecute(), 5; got != want {
+	if got, want := s.RunsPerExecute(), 4; got != want {
 		t.Fatalf("RunsPerExecute = %d, want %d", got, want)
 	}
 	if fail := Execute(&s); fail != nil {
@@ -99,24 +101,49 @@ func TestExecuteKillAndRestoreOracle(t *testing.T) {
 
 func TestExecuteRestoreOracleEveryScheme(t *testing.T) {
 	// Satellite of the matrix in internal/sim: the chaos-level restore
-	// oracle must hold for every scheme at both engine widths.
+	// oracle must hold for every scheme. The w1 case runs the scenario as
+	// built; the w8 case runs it as read back from a repro written when
+	// scenarios carried an engine width ("workers 8"), which must parse to
+	// the same scenario and pass the same oracles.
 	for _, scheme := range []string{"base", "tpm", "drpm", "pdc", "maid", "hibernator"} {
-		for _, workers := range []int{1, 8} {
-			scheme, workers := scheme, workers
-			t.Run(scheme+"/"+map[int]string{1: "w1", 8: "w8"}[workers], func(t *testing.T) {
+		for _, legacy := range []bool{false, true} {
+			scheme, legacy := scheme, legacy
+			name := scheme + "/w1"
+			if legacy {
+				name = scheme + "/w8"
+			}
+			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				s := Scenario{
+				s := &Scenario{
 					Seed: 7, Duration: 60,
 					Scheme: scheme, Family: "enterprise", Levels: 3,
 					Groups: 2, GroupDisks: 3, RAID: "raid5", SpareDisks: 1,
 					Workload: "oltp", Rate: 15,
-					Workers: workers, SnapshotT: 30,
+					SnapshotT: 30,
 				}
 				s.Rates.TransientProb = 0.002
 				s.Retry.MaxRetries = 1
 				s.Retry.Backoff = 0.01
-				if fail := Execute(&s); fail != nil {
-					t.Fatalf("%s workers=%d: %v", scheme, workers, fail)
+				if legacy {
+					var buf bytes.Buffer
+					if err := WriteRepro(&buf, s); err != nil {
+						t.Fatal(err)
+					}
+					text := strings.Replace(buf.String(), "snapshot-t ", "workers 8\nsnapshot-t ", 1)
+					if !strings.Contains(text, "workers 8\n") {
+						t.Fatalf("no snapshot-t line to put the workers line before:\n%s", text)
+					}
+					old, err := ParseRepro(strings.NewReader(text))
+					if err != nil {
+						t.Fatalf("repro with a workers line: %v", err)
+					}
+					if !reflect.DeepEqual(old, s) {
+						t.Fatalf("workers line changed the scenario:\n got %+v\nwant %+v", *old, *s)
+					}
+					s = old
+				}
+				if fail := Execute(s); fail != nil {
+					t.Fatalf("%s: %v", name, fail)
 				}
 			})
 		}

@@ -53,13 +53,6 @@ type Scenario struct {
 	RespGoalMs float64 // 0 = no goal
 	EpochFrac  float64 // hibernator/pdc epoch as a fraction of Duration (0 = 0.25)
 
-	// Workers is the intra-run parallelism degree (sim.Config.Workers).
-	// 0 and 1 both mean the sequential engine — 0 keeps pre-parallelism
-	// repro files replaying exactly. Values above 1 engage the
-	// group-partitioned engine, whose output the workers-metamorphic
-	// oracle holds byte-identical to the sequential run.
-	Workers int
-
 	// SnapshotT arms the kill-and-restore oracle: the reference run
 	// captures a state snapshot at this simulated time, and an extra run
 	// restored from that snapshot must finish with the identical
@@ -97,9 +90,6 @@ func (s *Scenario) String() string {
 		s.Groups, s.GroupDisks, s.RAID, s.SpareDisks, s.CacheMB)
 	if s.RespGoalMs > 0 {
 		fmt.Fprintf(&b, " goal=%gms", s.RespGoalMs)
-	}
-	if s.Workers > 1 {
-		fmt.Fprintf(&b, " workers=%d", s.Workers)
 	}
 	if s.SnapshotT > 0 {
 		fmt.Fprintf(&b, " snap@%gs", s.SnapshotT)
@@ -190,9 +180,6 @@ func (s *Scenario) Validate() error {
 	if s.EpochFrac < 0 || s.EpochFrac > 1 || math.IsNaN(s.EpochFrac) {
 		return fmt.Errorf("chaos: epoch fraction %g outside [0,1]", s.EpochFrac)
 	}
-	if s.Workers < 0 || s.Workers > 64 {
-		return fmt.Errorf("chaos: workers %d outside [0,64]", s.Workers)
-	}
 	if s.SnapshotT < 0 || math.IsNaN(s.SnapshotT) || math.IsInf(s.SnapshotT, 0) {
 		return fmt.Errorf("chaos: bad snapshot time %g", s.SnapshotT)
 	}
@@ -261,7 +248,6 @@ func (s *Scenario) simConfig() (sim.Config, error) {
 		RespGoal:           s.RespGoalMs / 1000,
 		Seed:               s.Seed,
 		ExpectedRotLatency: true,
-		Workers:            s.Workers,
 	}
 	if len(s.Events) > 0 || s.Rates.TransientProb > 0 || s.Rates.SpinUpFailProb > 0 {
 		cfg.Faults = &fault.Schedule{

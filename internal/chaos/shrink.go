@@ -255,29 +255,12 @@ var transforms = []transform{
 		describe: func(s *Scenario) string { return "disable retry policy" },
 	},
 	{
-		name: "sequential-engine",
-		apply: func(s *Scenario) []Scenario {
-			// Dropping to the sequential engine attributes the failure: a
-			// workers-mismatch vanishes (the oracle needs Workers>1), so
-			// the shrinker keeps parallelism exactly when the parallel
-			// engine is implicated; any other failure shrinks to a repro
-			// free of the parallel machinery.
-			if s.Workers <= 1 {
-				return nil
-			}
-			c := *s
-			c.Workers = 1
-			return []Scenario{c}
-		},
-		describe: func(s *Scenario) string { return "sequential engine (workers=1)" },
-	},
-	{
 		name: "drop-snapshot",
 		apply: func(s *Scenario) []Scenario {
-			// Disarming the kill-and-restore oracle attributes the failure
-			// the same way sequential-engine does: a restore-mismatch needs
-			// SnapshotT, so the shrinker keeps the snapshot exactly when
-			// the snapshot machinery is implicated.
+			// Disarming the kill-and-restore oracle attributes the failure:
+			// a restore-mismatch needs SnapshotT, so the shrinker keeps the
+			// snapshot exactly when the snapshot machinery is implicated;
+			// any other failure shrinks to a repro free of it.
 			if s.SnapshotT == 0 {
 				return nil
 			}

@@ -22,11 +22,6 @@ type SoakOptions struct {
 	// any width for fixed Seed and N.
 	Workers int
 
-	// SimWorkers, when above 0, forces every scenario's intra-run engine
-	// width instead of the generator's per-scenario sample — pinning a
-	// soak to the sequential engine (1) or to a fixed parallel width.
-	SimWorkers int
-
 	// ShrinkBudget caps the Execute calls spent minimizing each failure
 	// (0 = DefaultShrinkBudget). One Execute is three simulation runs.
 	ShrinkBudget int
@@ -43,8 +38,8 @@ type SoakOptions struct {
 
 	// Journal, when non-empty, records every scenario's verdict durably
 	// in an append-only journal at this path, so a killed soak can resume.
-	// The journal refuses to mix runs with different Seed/N/SimWorkers/
-	// InjectBug settings.
+	// The journal refuses to mix runs with different Seed/N/InjectBug
+	// settings.
 	Journal string
 
 	// Resume skips scenarios whose verdicts the journal already records,
@@ -101,8 +96,8 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 	}
 	var jnl *journal.Journal
 	if opts.Journal != "" {
-		meta := fmt.Sprintf("soak seed=%d n=%d simworkers=%d injectbug=%t",
-			opts.Seed, opts.N, opts.SimWorkers, opts.InjectBug)
+		meta := fmt.Sprintf("soak seed=%d n=%d injectbug=%t",
+			opts.Seed, opts.N, opts.InjectBug)
 		var err error
 		if jnl, err = journal.Open(opts.Journal, meta); err != nil {
 			return nil, err
@@ -136,9 +131,6 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 				}
 			}
 			sc := Generate(opts.Seed, i)
-			if opts.SimWorkers > 0 {
-				sc.Workers = opts.SimWorkers
-			}
 			if opts.InjectBug {
 				armBug(&sc)
 			}

@@ -117,12 +117,6 @@ type Observer interface {
 type Disk struct {
 	spec   *Spec
 	engine *simevent.Engine
-	// states is the engine spin/shift transition events fire on. It is
-	// the same engine as `engine` in a sequential run; the partitioned
-	// runner points it at the disk group's partition engine, whose clock
-	// may run ahead of the global engine between barriers (see
-	// internal/sim/parallel.go). I/O completions always stay on `engine`.
-	states *simevent.Engine
 	cfg    Config
 	rng    *rand.Rand
 
@@ -232,7 +226,6 @@ func New(engine *simevent.Engine, spec *Spec, cfg Config) *Disk {
 	d := &Disk{
 		spec:        spec,
 		engine:      engine,
-		states:      engine,
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		state:       Idle,
@@ -242,27 +235,6 @@ func New(engine *simevent.Engine, spec *Spec, cfg Config) *Disk {
 	}
 	d.account = stats.NewStateAccount(engine.Now(), Idle.String(), spec.IdlePower[d.level])
 	return d
-}
-
-// SetStateEngine moves the disk's spin/shift transition events onto a
-// dedicated engine (a partition of the global calendar). It must be called
-// before any activity — the partitioned runner does so at construction
-// time. Passing the disk's main engine restores sequential behavior.
-func (d *Disk) SetStateEngine(e *simevent.Engine) { d.states = e }
-
-// now returns the disk's notion of current time: the later of the global
-// clock and the transition clock. Between barriers a partition's clock
-// runs ahead of the global engine (and during merged stepping the global
-// clock can lead the partition), so the disk always stamps accounting and
-// schedules follow-ups off the frontmost of the two.
-func (d *Disk) now() float64 {
-	t := d.engine.Now()
-	if d.states != d.engine {
-		if st := d.states.Now(); st > t {
-			t = st
-		}
-	}
-	return t
 }
 
 // ID returns the configured disk identifier.
@@ -296,7 +268,7 @@ func (d *Disk) IdleFor() float64 {
 	if d.state != Idle {
 		return 0
 	}
-	return d.now() - d.idleSince
+	return d.engine.Now() - d.idleSince
 }
 
 // Account exposes the energy/state ledger.
@@ -363,12 +335,12 @@ func (d *Disk) Submit(r *Request) {
 		panic("diskmodel: request without completion callback")
 	}
 	if d.state == Failed {
-		r.Arrive = d.now()
+		r.Arrive = d.engine.Now()
 		r.Failed = true
 		d.engine.At(r.Arrive, func() { r.Done(r, d.engine.Now()) })
 		return
 	}
-	r.Arrive = d.now()
+	r.Arrive = d.engine.Now()
 	if r.Background {
 		d.bg.push(r)
 	} else {
@@ -424,7 +396,7 @@ func (d *Disk) Standby() bool {
 	}
 	d.spinDowns++
 	d.setState(SpinningDown, d.spec.SpinDownEnergy/d.spec.SpinDownTime)
-	d.states.At(d.now()+d.spec.SpinDownTime, func() {
+	d.engine.Schedule(d.spec.SpinDownTime, func() {
 		if d.state == Failed {
 			return
 		}
@@ -456,7 +428,7 @@ func (d *Disk) spinUpAttempt(attempt int) {
 	d.spinUps++
 	d.level = d.targetLevel
 	d.setState(SpinningUp, d.spec.SpinUpEnergy/d.spec.SpinUpTime)
-	d.states.At(d.now()+d.spec.SpinUpTime, func() {
+	d.engine.Schedule(d.spec.SpinUpTime, func() {
 		if d.state == Failed {
 			return
 		}
@@ -484,7 +456,7 @@ func (d *Disk) beginShift() {
 	d.levelShifts++
 	d.setState(ShiftingSpeed, d.spec.IdlePower[hi])
 	d.account.AddEnergy(ShiftingSpeed.String(), joules)
-	d.states.At(d.now()+dur, func() {
+	d.engine.Schedule(dur, func() {
 		if d.state == Failed {
 			return
 		}
@@ -497,7 +469,7 @@ func (d *Disk) beginShift() {
 // pending work or follow-up transition.
 func (d *Disk) becomeIdleThenWork() {
 	d.setState(Idle, d.spec.IdlePower[d.level])
-	d.idleSince = d.now()
+	d.idleSince = d.engine.Now()
 	if d.targetLevel != d.level {
 		d.beginShift()
 		return
@@ -523,7 +495,7 @@ func (d *Disk) startNext() {
 	if r == nil {
 		return
 	}
-	now := d.now()
+	now := d.engine.Now()
 	r.Start = now
 	d.current = r
 	svc, pos, seq := d.serviceTime(r)
@@ -538,7 +510,7 @@ func (d *Disk) startNext() {
 // complete finishes the in-flight request when its service time is up.
 func (d *Disk) complete() {
 	r, svc := d.current, d.curSvc
-	now := d.now()
+	now := d.engine.Now()
 	d.current = nil
 	d.inflight = simevent.Event{}
 	d.completed++
@@ -619,7 +591,7 @@ func (d *Disk) serviceTime(r *Request) (svc, pos float64, sequential bool) {
 func (d *Disk) setState(s State, power float64) {
 	from := d.state
 	d.state = s
-	now := d.now()
+	now := d.engine.Now()
 	d.account.Transition(now, s.String(), power)
 	if d.observer != nil {
 		d.observer.DiskTransition(d, now, from, s, power)
@@ -648,7 +620,7 @@ func (d *Disk) Fail() {
 		doomed = append(doomed, r)
 	}
 	d.setState(Failed, 0)
-	at := d.now()
+	at := d.engine.Now()
 	for _, r := range doomed {
 		r := r
 		r.Failed = true
@@ -659,7 +631,7 @@ func (d *Disk) Fail() {
 // CloseAccounting finalizes the energy ledger at the current simulated
 // time. Call once at the end of a run.
 func (d *Disk) CloseAccounting() {
-	d.account.Close(d.now())
+	d.account.Close(d.engine.Now())
 }
 
 // Energy returns total joules consumed up to the last accounting close or

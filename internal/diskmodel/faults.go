@@ -132,7 +132,7 @@ func (d *Disk) SlowFactor() float64 {
 	if fs == nil || !fs.slowSet {
 		return 1
 	}
-	now := d.now()
+	now := d.engine.Now()
 	if now < fs.slowStart {
 		return 1
 	}

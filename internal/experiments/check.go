@@ -47,10 +47,7 @@ func ResetCheckViolations() {
 func (o *Opts) audit(cfg *sim.Config, name string) (collect func()) {
 	// Every simulation run in the suite arms this hook, so it doubles as
 	// the one place the per-run Opts settings land on the config: the
-	// intra-run worker count, cancellation context, and watchdog ride
-	// along here. (With Check set the run falls back to the sequential
-	// engine anyway — the checker needs one serialized event stream.)
-	cfg.Workers = o.SimWorkers
+	// cancellation context and watchdog ride along here.
 	cfg.Context = o.Context
 	cfg.Watchdog = o.Watchdog
 	if !o.Check {

@@ -51,12 +51,6 @@ type Opts struct {
 	// simulation run. Violations accumulate in the process-wide tally read
 	// by CheckViolations. Checking does not change any table output byte.
 	Check bool
-	// SimWorkers is the intra-run parallelism degree passed to every
-	// simulation run (sim.Config.Workers): 1 = the sequential engine,
-	// N > 1 = the group-partitioned engine. Results are byte-identical
-	// for any value; only wall clock changes. Distinct from Workers,
-	// which fans independent runs out across goroutines.
-	SimWorkers int
 	// Context, when non-nil, cancels every simulation run in the
 	// experiment when it is cancelled (signal handling in cmd/hibexp).
 	// An un-cancelled context does not change any output byte.
@@ -77,9 +71,6 @@ func (o *Opts) norm() {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.SimWorkers < 1 {
-		o.SimWorkers = 1
 	}
 }
 

@@ -18,8 +18,8 @@ func init() {
 	})
 }
 
-// x7Arrays keeps the fleet small enough that the checked, sequential-engine
-// runs finish alongside the single-array experiments.
+// x7Arrays keeps the fleet small enough that its runs finish alongside
+// the single-array experiments.
 const x7Arrays = 16
 
 func runX7(o Opts) ([]*report.Table, error) {
@@ -27,7 +27,7 @@ func runX7(o Opts) ([]*report.Table, error) {
 	dur := 1800 * o.Scale
 	base := fleet.Config{
 		Arrays: x7Arrays, Seed: o.Seed, Duration: dur,
-		Par: o.Workers, SimWorkers: o.SimWorkers, Check: o.Check,
+		Par: o.Workers, Check: o.Check,
 		Context: o.Context, Log: o.Log,
 	}
 	t := report.New("X7", "Fleet of 16 heterogeneous arrays, 64 routed tenants, with and without a power cap",

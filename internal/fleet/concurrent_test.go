@@ -8,15 +8,13 @@ import (
 
 // TestConcurrentFleetRunsByteIdentical runs several whole fleets at once —
 // each with the invariant checker and per-tenant OnResponse attribution
-// armed, each itself fanning out across the runner pool with partitioned
-// engines inside. Under -race this is the no-hidden-globals contract for
+// armed, each itself fanning out across the runner pool. Under -race this is the no-hidden-globals contract for
 // the hook stack: every concurrent report must be byte-identical to the
 // serial one.
 func TestConcurrentFleetRunsByteIdentical(t *testing.T) {
 	cfg := testConfig()
 	cfg.Check = true
 	cfg.Par = 2
-	cfg.SimWorkers = 2
 
 	serial, err := Run(cfg)
 	if err != nil {

@@ -8,9 +8,8 @@
 // admission plan before any array spins up.
 //
 // Every array runs as one independent, seed-deterministic sim.Run on the
-// internal/runner pool, so intra-run parallelism (Config.SimWorkers),
-// the invariant checker (Config.Check), fault injection and
-// observability all compose exactly as they do for single-array runs.
+// internal/runner pool, so the invariant checker (Config.Check), fault
+// injection and observability all compose exactly as they do for single-array runs.
 // The fleet report is a pure function of Config: byte-identical across
 // pool widths (Config.Par) and invocations, and its energy total is the
 // sum of the per-array invariant-checked totals — IO and energy
@@ -64,9 +63,6 @@ type Config struct {
 	// Par is the runner pool width for fan-out across arrays
 	// (0 = GOMAXPROCS, 1 = sequential). Report bytes never depend on it.
 	Par int
-	// SimWorkers is the intra-run engine width per array
-	// (sim.Config.Workers); 0/1 = the sequential engine.
-	SimWorkers int
 	// Check arms an invariant checker on every array's run; violations
 	// land in the report (and fail Report.Ok).
 	Check bool
@@ -105,9 +101,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if !(c.FaultAccel > 0) || math.IsInf(c.FaultAccel, 0) {
 		return fmt.Errorf("fleet: fault acceleration must be positive and finite, got %g", c.FaultAccel)
-	}
-	if c.SimWorkers < 0 {
-		return fmt.Errorf("fleet: negative intra-run worker count %d", c.SimWorkers)
 	}
 	return nil
 }

@@ -136,7 +136,6 @@ func TestFleetBadConfig(t *testing.T) {
 		{Arrays: 2, Duration: -5},
 		{Arrays: 2, PowerCap: -1},
 		{Arrays: 2, FaultAccel: -10},
-		{Arrays: 2, SimWorkers: -2},
 	} {
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("config %+v accepted; want error", cfg)

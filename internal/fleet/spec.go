@@ -188,7 +188,6 @@ func (a *ArraySpec) simConfig(cfg *Config) (sim.Config, error) {
 		RespGoal:           a.RespGoalMs / 1000,
 		Seed:               a.Seed,
 		ExpectedRotLatency: true,
-		Workers:            cfg.SimWorkers,
 		Context:            cfg.Context,
 		Retry: array.RetryPolicy{
 			MaxRetries:    2,

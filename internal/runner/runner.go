@@ -10,6 +10,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -61,14 +62,10 @@ func (p *Pool) RunSet(ctx context.Context, jobs []Job) ([]Result, error) {
 				results[i] = Result{Err: err}
 			}
 		}()
-		if err := ctx.Err(); err != nil {
-			results[i] = Result{Err: err}
-			return err
-		}
 		v, err := jobs[i](ctx)
 		results[i] = Result{Value: v, Err: err}
 		return err
-	})
+	}, func(i int, err error) { results[i] = Result{Err: err} })
 	return results, err
 }
 
@@ -93,16 +90,13 @@ func RunSet(jobs []Job) ([]Result, error) {
 func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := New(workers).forEach(ctx, n, func(ctx context.Context, i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		v, err := fn(ctx, i)
 		if err != nil {
 			return err
 		}
 		out[i] = v
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -174,10 +168,20 @@ func Retry(ctx context.Context, attempts int, backoff time.Duration, fn func(ctx
 // forEach is the scheduling core: a feeder channel of indices, `workers`
 // drainers, first-error-by-index propagation, and cancellation of the
 // in-flight context as soon as any job fails.
-func (p *Pool) forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+//
+// Indices are handed out in order, so every job below a failing one has
+// already been dispatched when it fails; those jobs still run, and only
+// jobs above the lowest failure (or every job, once the caller's context
+// is done) are skipped: fn is not called and skipped, when non-nil,
+// receives the context's error. A job that returns context.Canceled only
+// because the pool cancelled it is not a failure of its own. Together
+// these make the returned error the lowest failing index's whatever the
+// scheduling.
+func (p *Pool) forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error, skipped func(i int, err error)) error {
 	if n == 0 {
 		return ctx.Err()
 	}
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -188,11 +192,24 @@ func (p *Pool) forEach(ctx context.Context, n int, fn func(ctx context.Context, 
 	)
 	record := func(i int, err error) {
 		mu.Lock()
-		if i < firstIdx {
+		induced := errors.Is(err, context.Canceled) && ctx.Err() != nil && parent.Err() == nil
+		if i < firstIdx && !induced {
 			firstIdx, firstErr = i, err
 		}
-		mu.Unlock()
 		cancel()
+		mu.Unlock()
+	}
+	// skip reports why job i must not start, or nil if it should run.
+	skip := func(i int) error {
+		if err := parent.Err(); err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if i > firstIdx {
+			return ctx.Err()
+		}
+		return nil
 	}
 
 	workers := p.workers
@@ -212,6 +229,12 @@ func (p *Pool) forEach(ctx context.Context, n int, fn func(ctx context.Context, 
 				err = panicErr(i, r)
 			}
 		}()
+		if err := skip(i); err != nil {
+			if skipped != nil {
+				skipped(i, err)
+			}
+			return err
+		}
 		return fn(ctx, i)
 	}
 	for w := 0; w < workers; w++ {

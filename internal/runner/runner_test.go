@@ -211,3 +211,20 @@ func TestPanicLowestIndexWins(t *testing.T) {
 		t.Errorf("want the lowest-indexed panic, got: %v", err)
 	}
 }
+
+// A lower-indexed job that stops because the pool cancelled it after a
+// later job failed reports context.Canceled; that is a consequence of the
+// failure, not a failure of its own, so the real error is returned.
+func TestInducedCancelDoesNotMaskFailure(t *testing.T) {
+	real := errors.New("real failure")
+	_, err := Map(context.Background(), 2, 2, func(ctx context.Context, i int) (int, error) {
+		if i == 1 {
+			return 0, real
+		}
+		<-ctx.Done()
+		return 0, ctx.Err()
+	})
+	if !errors.Is(err, real) {
+		t.Fatalf("want the failing job's error, got %v", err)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -451,6 +452,46 @@ func TestWALEdgeLegality(t *testing.T) {
 	}
 	if r := recs["j1"]; r.snapHash != "cafe" {
 		t.Fatalf("rollback hash not honored: %+v", recs["j1"])
+	}
+}
+
+// State dirs written while repros carried an engine width hold artifacts
+// with a "workers N" line. Recovery must still parse them, and the job
+// must complete with the result a direct run gives.
+func TestRecoveryAcceptsArtifactWithWorkersLine(t *testing.T) {
+	dir := t.TempDir()
+	sc := testScenario(t, 3, 60)
+	wantResult, _, _, err := DirectRun(sc, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(mustCanonical(t, sc), "snapshot-t ", "workers 1\nsnapshot-t ", 1)
+	if !strings.Contains(old, "workers 1\n") {
+		t.Fatal("canonical repro has no snapshot-t line to anchor the workers line")
+	}
+
+	s1, err := Open(&Options{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sha, err := s1.wal.saveArtifact([]byte(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.wal.appendAccepted("j1", sha, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	s1.abort()
+
+	s2, ts2 := openDurable(t, dir, Options{})
+	defer ts2.Close()
+	defer s2.Close()
+	st := waitState(t, ts2, "j1", StateComplete)
+	if !bytes.Equal(st.Result, bytes.TrimSuffix(wantResult, []byte("\n"))) {
+		t.Fatalf("recovered result differs from direct run:\n got: %s\nwant: %s", st.Result, wantResult)
+	}
+	if got := s2.Stats(); got.Replayed != 1 {
+		t.Fatalf("stats after recovery: %+v", got)
 	}
 }
 

@@ -25,9 +25,9 @@ func TestConcurrentRunsShareOnResponse(t *testing.T) {
 	// Serial reference: result plus the deterministic per-run completion
 	// count the shared hook should observe.
 	var perRun uint64
-	refCfg := parallelConfig(7, 2)
+	refCfg := spinConfig(7)
 	refCfg.OnResponse = func(_ trace.Request, _ float64) { perRun++ }
-	ref, err := sim.Run(refCfg, parallelSource(t, refCfg, duration), policy.NewTPM(5), duration)
+	ref, err := sim.Run(refCfg, spinSource(t, refCfg, duration), policy.NewTPM(5), duration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func TestConcurrentRunsShareOnResponse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cfg := parallelConfig(7, 1+i%3) // mix sequential and partitioned engines
+			cfg := spinConfig(7)
 			cfg.OnResponse = shared
 			checkers[i] = invariant.New()
 			cfg.Invariants = checkers[i]
-			res, err := sim.Run(cfg, parallelSource(t, cfg, duration), policy.NewTPM(5), duration)
+			res, err := sim.Run(cfg, spinSource(t, cfg, duration), policy.NewTPM(5), duration)
 			if err != nil {
 				t.Errorf("run %d: %v", i, err)
 				return

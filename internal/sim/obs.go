@@ -18,7 +18,6 @@ type obsSampler struct {
 	env    *Env
 	arr    *array.Array
 	engine *simevent.Engine
-	parts  []*simevent.Engine // per-group transition partitions (may be nil)
 	cache  *cache.Cache
 
 	dist     obs.IntervalDist // foreground response times this interval
@@ -47,9 +46,9 @@ type obsSampler struct {
 // newObsSampler registers the standard instrument set on cfg.Metrics.
 // Registration order here is the column order of the exported streams;
 // OBSERVABILITY.md documents each name and must move with this function.
-func newObsSampler(cfg *Config, env *Env, arr *array.Array, engine *simevent.Engine, parts []*simevent.Engine, ctrlCache *cache.Cache) *obsSampler {
+func newObsSampler(cfg *Config, env *Env, arr *array.Array, engine *simevent.Engine, ctrlCache *cache.Cache) *obsSampler {
 	reg := cfg.Metrics
-	s := &obsSampler{cfg: cfg, env: env, arr: arr, engine: engine, parts: parts, cache: ctrlCache}
+	s := &obsSampler{cfg: cfg, env: env, arr: arr, engine: engine, cache: ctrlCache}
 	s.requests = reg.Counter("requests")
 	s.respMean = reg.Gauge("resp_mean_ms")
 	s.respP95 = reg.Gauge("resp_p95_ms")
@@ -114,11 +113,7 @@ func (s *obsSampler) sample(now float64) {
 	// TotalEnergy closes each disk's state accounting up to now, which is
 	// idempotent and safe mid-run; per-disk Energy() is then current too.
 	s.energy.Set(s.arr.TotalEnergy())
-	processed := s.engine.Processed()
-	for _, pe := range s.parts {
-		processed += pe.Processed()
-	}
-	s.events.Set(float64(processed))
+	s.events.Set(float64(s.engine.Processed()))
 	for gi, g := range s.arr.Groups() {
 		s.groupLevel[gi].Set(float64(g.Level()))
 		q, e := 0, 0.0

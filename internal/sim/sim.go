@@ -95,26 +95,17 @@ type Config struct {
 	// latency attribution.
 	OnResponse func(r trace.Request, latency float64)
 
-	// Workers is the intra-run parallelism degree. 1 (or 0) runs the exact
-	// legacy sequential path. N > 1 partitions spin/shift transition events
-	// by disk group and advances idle groups on worker goroutines between
-	// global events, with a deterministic merge that keeps the output
-	// byte-identical to the sequential run (see parallel.go). Runs with an
-	// armed invariant checker fall back to the sequential path — the
-	// checker observes every transition and needs one serialized stream.
-	Workers int
-
 	// Context, when non-nil, cancels the run cooperatively: Run checks it
 	// between event batches and returns ctx.Err() once it is done or
 	// cancelled. Nil keeps the legacy hot loop untouched.
 	Context context.Context
 
 	// Progress, when non-nil, is kept loosely up to date with the number
-	// of events the run has fired (summed across the global engine and
-	// all partitions): the run loops publish it every few events and Run
-	// stores the exact total before returning. It is the only run state
-	// another goroutine may read while the simulation executes — the job
-	// server derives per-job progress from it. Nil adds no work.
+	// of events the run has fired: the run loop publishes it every few
+	// events and Run stores the exact total before returning. It is the
+	// only run state another goroutine may read while the simulation
+	// executes — the job server derives per-job progress from it. Nil adds
+	// no work.
 	Progress *atomic.Uint64
 
 	// Invariants, when non-nil, cross-checks the run's accounting while it
@@ -127,8 +118,8 @@ type Config struct {
 	// SnapshotEvery > 0 captures a full deterministic state snapshot at
 	// every multiple of this simulated time and hands it to SnapshotSink.
 	// Capture happens between events and is a pure read, so a run with
-	// snapshots enabled is byte-identical to one without — at any worker
-	// count. 0 disables periodic capture.
+	// snapshots enabled is byte-identical to one without. 0 disables
+	// periodic capture.
 	SnapshotEvery float64
 	// SnapshotSink receives each periodic snapshot. A nil sink with
 	// SnapshotEvery set still exercises capture (useful in tests); sink
@@ -174,14 +165,8 @@ func (c *Config) applyDefaults() error {
 	if c.ObsSampleEvery < 0 {
 		return fmt.Errorf("sim: negative metrics sampling interval")
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: negative worker count")
-	}
 	if c.SnapshotEvery < 0 {
 		return fmt.Errorf("sim: negative snapshot interval")
-	}
-	if c.Workers == 0 {
-		c.Workers = 1
 	}
 	if c.ObsSampleEvery == 0 {
 		c.ObsSampleEvery = c.RespWindow
@@ -319,28 +304,8 @@ func Run(cfg Config, workload trace.Source, ctrl Controller, duration float64) (
 		return nil, fmt.Errorf("sim: duration must be positive")
 	}
 	engine := simevent.New()
-	// Partition the transition calendar by group only when the parallel
-	// path can actually engage; a nil slice keeps every event on the one
-	// global engine, which is the byte-exact legacy path.
-	var parts []*simevent.Engine
-	var seqSrc *uint64
-	if cfg.Workers > 1 && cfg.Groups >= 2 && cfg.Invariants == nil {
-		// All engines of a partitioned run share one sequence counter,
-		// installed before anything is scheduled: every event then carries
-		// the exact sequence number the sequential run would assign it,
-		// which is what makes the (at, seq) merge replay the sequential
-		// order bit for bit (see parallel.go).
-		seqSrc = new(uint64)
-		engine.ShareSeq(seqSrc)
-		parts = make([]*simevent.Engine, cfg.Groups)
-		for i := range parts {
-			parts[i] = simevent.New()
-			parts[i].ShareSeq(seqSrc)
-		}
-	}
 	arr, err := array.New(array.Config{
 		Engine:             engine,
-		StateEngines:       parts,
 		Spec:               &cfg.Spec,
 		Groups:             cfg.Groups,
 		GroupDisks:         cfg.GroupDisks,
@@ -542,7 +507,7 @@ func Run(cfg Config, workload trace.Source, ctrl Controller, duration float64) (
 	// Metrics sampling: one row at t=0 (the initial configuration), then
 	// one per ObsSampleEvery. Unobserved runs schedule nothing here.
 	if cfg.Metrics != nil {
-		sampler = newObsSampler(&cfg, env, arr, engine, parts, ctrlCache)
+		sampler = newObsSampler(&cfg, env, arr, engine, ctrlCache)
 		engine.Schedule(0, func() { sampler.sample(engine.Now()) })
 		simevent.NewTicker(engine, cfg.ObsSampleEvery, func(now float64) {
 			sampler.sample(now)
@@ -555,7 +520,7 @@ func Run(cfg Config, workload trace.Source, ctrl Controller, duration float64) (
 	if cfg.SnapshotEvery > 0 || cfg.ResumeFrom != nil {
 		refs := &snapRefs{
 			cfg: &cfg, scheme: ctrl.Name(), duration: duration,
-			engine: engine, parts: parts, arr: arr, cache: ctrlCache,
+			engine: engine, arr: arr, cache: ctrlCache,
 			env: env, respW: &respW, respPct: respPct, res: res,
 			windows: &windows, viols: &violations, ctrl: ctrl,
 		}
@@ -595,24 +560,13 @@ func Run(cfg Config, workload trace.Source, ctrl Controller, duration float64) (
 
 	pump()
 	if cfg.Progress != nil {
-		defer func() {
-			processed := engine.Processed()
-			for _, pe := range parts {
-				processed += pe.Processed()
-			}
-			cfg.Progress.Store(processed)
-		}()
+		defer func() { cfg.Progress.Store(engine.Processed()) }()
 	}
-	if err := runEngines(&cfg, engine, parts, seqSrc, arr, duration, snap, wd); err != nil {
+	if err := runEngine(&cfg, engine, duration, snap, wd); err != nil {
 		if wd != nil {
 			if reason := wd.tripReason(); reason != "" {
-				processed, pending := engine.Processed(), engine.Pending()
-				for _, pe := range parts {
-					processed += pe.Processed()
-					pending += pe.Pending()
-				}
 				return nil, &WatchdogError{
-					Reason: reason, Events: processed, Pending: pending,
+					Reason: reason, Events: engine.Processed(), Pending: engine.Pending(),
 					Elapsed: wd.now().Sub(wd.start), LastTrace: cfg.Trace.Tail(wdTraceTail),
 				}
 			}

@@ -21,9 +21,8 @@ import (
 // exactly when every event with time <= b has executed and none after b
 // has. Capture is a pure read — no events are scheduled, no accounting is
 // closed, no RNG is drawn — so a run with snapshots enabled is
-// byte-identical to one without, in both the sequential and partitioned
-// engines, and the captured bytes are a pure function of the event-stream
-// position (identical at workers=1 and workers=N).
+// byte-identical to one without, and the captured bytes are a pure
+// function of the event-stream position.
 //
 // Restore rule. The simulator never serializes closures: pending events
 // (tickers, in-flight I/O completions, staggered plan steps) are all
@@ -104,7 +103,6 @@ type snapRefs struct {
 	scheme   string
 	duration float64
 	engine   *simevent.Engine
-	parts    []*simevent.Engine
 	arr      *array.Array
 	cache    *cache.Cache
 	env      *Env
@@ -126,10 +124,9 @@ func (r *snapRefs) capture(b float64) *snapshot.State {
 }
 
 // putConfig emits the run-identity section. Two runs may only resume one
-// another when every one of these keys matches; Workers, Context,
-// Invariants, and the snapshot knobs themselves are deliberately absent —
-// they never change the deterministic output, so a snapshot taken at
-// workers=8 restores at workers=1 and vice versa.
+// another when every one of these keys matches; Context, Invariants, and
+// the snapshot knobs themselves are deliberately absent — they never
+// change the deterministic output.
 func (r *snapRefs) putConfig(put func(k, v string)) {
 	c := r.cfg
 	put("config.scheme", r.scheme)
@@ -170,13 +167,8 @@ func (r *snapRefs) putConfig(put func(k, v string)) {
 // harness accumulators, array/group/disk state including energy integrals
 // and RNG stream positions, cache, and the controller's contribution.
 func (r *snapRefs) putState(b float64, put func(k, v string)) {
-	processed, pending := r.engine.Processed(), r.engine.Pending()
-	for _, pe := range r.parts {
-		processed += pe.Processed()
-		pending += pe.Pending()
-	}
-	put("state.events.processed", u64(processed))
-	put("state.events.pending", itoa(pending))
+	put("state.events.processed", u64(r.engine.Processed()))
+	put("state.events.pending", itoa(r.engine.Pending()))
 	put("state.requests", u64(r.res.Requests))
 	put("state.cachehits", u64(r.res.CacheHits))
 	put("state.series", itoa(len(r.res.Series)))

@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,7 +22,7 @@ import (
 // snapConfig is the round-trip matrix shape: multi-speed groups, a cache,
 // a time series, and (optionally) a fault storm, so a snapshot has to get
 // every subsystem's state right.
-func snapConfig(seed int64, workers int, faults bool) sim.Config {
+func snapConfig(seed int64, faults bool) sim.Config {
 	cfg := sim.Config{
 		Spec:               diskmodel.MultiSpeedUltrastar(4, 3000),
 		Groups:             4,
@@ -34,7 +36,6 @@ func snapConfig(seed int64, workers int, faults bool) sim.Config {
 		SpareDisks:         1,
 		Seed:               seed,
 		ExpectedRotLatency: true,
-		Workers:            workers,
 	}
 	if faults {
 		cfg.Retry = array.RetryPolicy{MaxRetries: 2, Backoff: 0.005, OpDeadline: 2, SuspectAfter: 5}
@@ -76,31 +77,36 @@ var snapSchemes = []struct {
 }
 
 // TestSnapshotRoundTripMatrix is the tentpole property over every scheme
-// × faults × workers: (a) a run that captures snapshots is byte-identical
-// to one that does not; (b) restoring the mid-run snapshot and running to
-// the end reproduces the straight-through run exactly — including the
+// × faults: (a) a run that captures snapshots is byte-identical to one
+// that does not; (b) restoring the mid-run snapshot and running to the end
+// reproduces the straight-through run exactly — including the
 // snapshots the resumed run itself captures after the restore point.
+//
+// The w1 case restores the snapshot this run captured. The w8 case
+// restores the t=160 snapshot a workers=8 run of the former
+// group-partitioned engine wrote (testdata/*-w8-t160.snap): snapshots
+// stored before that engine was removed must resume to the same result,
+// and must equal what the sequential engine captures at that point.
 func TestSnapshotRoundTripMatrix(t *testing.T) {
 	const duration = 240
 	const every = 80 // boundaries at 80, 160, 240
 	for _, sch := range snapSchemes {
 		for _, faults := range []bool{false, true} {
-			for _, workers := range []int{1, 8} {
-				sch, faults, workers := sch, faults, workers
-				name := sch.name
+			for _, stored := range []bool{false, true} {
+				sch, faults, stored := sch, faults, stored
+				name := sch.name + "/clean"
 				if faults {
-					name += "/faults"
-				} else {
-					name += "/clean"
+					name = sch.name + "/faults"
 				}
-				if workers == 1 {
-					name += "/w1"
-				} else {
+				fixture := filepath.Join("testdata", strings.ToLower(strings.Replace(name, "/", "-", 1))+"-w8-t160.snap")
+				if stored {
 					name += "/w8"
+				} else {
+					name += "/w1"
 				}
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					cfg := snapConfig(42, workers, faults)
+					cfg := snapConfig(42, faults)
 					// Straight-through, no snapshots: the baseline.
 					base, err := sim.Run(cfg, snapSource(t, cfg, duration), sch.make(), duration)
 					if err != nil {
@@ -108,7 +114,7 @@ func TestSnapshotRoundTripMatrix(t *testing.T) {
 					}
 					// Same run with snapshots enabled.
 					var snaps []*snapshot.State
-					cfg2 := snapConfig(42, workers, faults)
+					cfg2 := snapConfig(42, faults)
 					cfg2.SnapshotEvery = every
 					cfg2.SnapshotSink = func(s *snapshot.State) error { snaps = append(snaps, s); return nil }
 					snapped, err := sim.Run(cfg2, snapSource(t, cfg2, duration), sch.make(), duration)
@@ -121,19 +127,29 @@ func TestSnapshotRoundTripMatrix(t *testing.T) {
 					if len(snaps) != 3 {
 						t.Fatalf("captured %d snapshots, want 3", len(snaps))
 					}
+					mid := snaps[1].Bytes()
+					if stored {
+						old, err := os.ReadFile(fixture)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(mid, old) {
+							t.Fatalf("t=160 capture differs from the stored workers=8 snapshot %s", fixture)
+						}
+						mid = old
+					}
 					// File round trip: write -> parse -> write is a fixed point.
-					mid := snaps[1]
-					reparsed, err := snapshot.Parse(bytes.NewReader(mid.Bytes()))
+					reparsed, err := snapshot.Parse(bytes.NewReader(mid))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(mid.Bytes(), reparsed.Bytes()) {
+					if !bytes.Equal(mid, reparsed.Bytes()) {
 						t.Fatal("snapshot bytes are not a parse fixed point")
 					}
 					// Restore from t=160 and run to the end: result and the
 					// post-restore snapshot must match the originals exactly.
 					var resnaps []*snapshot.State
-					cfg3 := snapConfig(42, workers, faults)
+					cfg3 := snapConfig(42, faults)
 					cfg3.SnapshotEvery = every
 					cfg3.SnapshotSink = func(s *snapshot.State) error { resnaps = append(resnaps, s); return nil }
 					cfg3.ResumeFrom = reparsed
@@ -158,44 +174,18 @@ func TestSnapshotRoundTripMatrix(t *testing.T) {
 	}
 }
 
-// TestSnapshotWorkerCountInvariant: the captured bytes are a pure
-// function of the event-stream position, so workers=1 and workers=8 runs
-// capture identical snapshots.
-func TestSnapshotWorkerCountInvariant(t *testing.T) {
-	const duration = 240
-	capture := func(workers int) [][]byte {
-		var out [][]byte
-		cfg := snapConfig(7, workers, true)
-		cfg.SnapshotEvery = 60
-		cfg.SnapshotSink = func(s *snapshot.State) error { out = append(out, s.Bytes()); return nil }
-		if _, err := sim.Run(cfg, snapSource(t, cfg, duration), policy.NewTPM(5), duration); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	seq, par := capture(1), capture(8)
-	if len(seq) != len(par) || len(seq) == 0 {
-		t.Fatalf("capture counts: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if !bytes.Equal(seq[i], par[i]) {
-			t.Fatalf("snapshot %d differs between workers=1 and workers=8", i)
-		}
-	}
-}
-
 // TestResumeRejectsConfigMismatch: resuming under a different
 // configuration must fail before the replay starts, naming the key.
 func TestResumeRejectsConfigMismatch(t *testing.T) {
 	const duration = 120
 	var snaps []*snapshot.State
-	cfg := snapConfig(3, 1, false)
+	cfg := snapConfig(3, false)
 	cfg.SnapshotEvery = 60
 	cfg.SnapshotSink = func(s *snapshot.State) error { snaps = append(snaps, s); return nil }
 	if _, err := sim.Run(cfg, snapSource(t, cfg, duration), policy.NewTPM(5), duration); err != nil {
 		t.Fatal(err)
 	}
-	cfg2 := snapConfig(3, 1, false)
+	cfg2 := snapConfig(3, false)
 	cfg2.Seed = 999 // different run identity
 	cfg2.ResumeFrom = snaps[0]
 	_, err := sim.Run(cfg2, snapSource(t, cfg2, duration), policy.NewTPM(5), duration)
@@ -209,7 +199,7 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 func TestResumeDetectsStateDivergence(t *testing.T) {
 	const duration = 120
 	var snaps []*snapshot.State
-	cfg := snapConfig(4, 1, false)
+	cfg := snapConfig(4, false)
 	cfg.SnapshotEvery = 60
 	cfg.SnapshotSink = func(s *snapshot.State) error { snaps = append(snaps, s); return nil }
 	if _, err := sim.Run(cfg, snapSource(t, cfg, duration), policy.NewTPM(5), duration); err != nil {
@@ -225,7 +215,7 @@ func TestResumeDetectsStateDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg2 := snapConfig(4, 1, false)
+	cfg2 := snapConfig(4, false)
 	cfg2.ResumeFrom = bad
 	_, err = sim.Run(cfg2, snapSource(t, cfg2, duration), policy.NewTPM(5), duration)
 	if err == nil || !strings.Contains(err.Error(), "state.requests") {
@@ -238,13 +228,13 @@ func TestResumeDetectsStateDivergence(t *testing.T) {
 func TestResumeRejectsBadEpoch(t *testing.T) {
 	const duration = 120
 	var snaps []*snapshot.State
-	cfg := snapConfig(5, 1, false)
+	cfg := snapConfig(5, false)
 	cfg.SnapshotEvery = 60
 	cfg.SnapshotSink = func(s *snapshot.State) error { snaps = append(snaps, s); return nil }
 	if _, err := sim.Run(cfg, snapSource(t, cfg, duration), policy.NewTPM(5), duration); err != nil {
 		t.Fatal(err)
 	}
-	cfg2 := snapConfig(5, 1, false)
+	cfg2 := snapConfig(5, false)
 	cfg2.ResumeFrom = snaps[1] // t=120
 	src := snapSource(t, cfg2, duration)
 	if _, err := sim.Run(cfg2, src, policy.NewTPM(5), 60); err == nil {

@@ -20,8 +20,7 @@ import (
 type Watchdog struct {
 	// MaxWall aborts the run after this much wall-clock time.
 	MaxWall time.Duration
-	// MaxEvents aborts the run after this many fired events (summed
-	// across the global engine and all partitions).
+	// MaxEvents aborts the run after this many fired events.
 	MaxEvents uint64
 	// Stall aborts the run when no event fires for this long — the
 	// signature of a deadlocked or livelocked engine, as opposed to a

@@ -40,7 +40,7 @@ func fakeClock(step time.Duration) func() time.Time {
 }
 
 func TestWatchdogEventBudget(t *testing.T) {
-	cfg := snapConfig(6, 1, false)
+	cfg := snapConfig(6, false)
 	cfg.Watchdog = &sim.Watchdog{MaxEvents: 2000}
 	_, err := sim.Run(cfg, snapSource(t, cfg, 240), policy.NewTPM(5), 240)
 	var werr *sim.WatchdogError
@@ -56,7 +56,7 @@ func TestWatchdogEventBudget(t *testing.T) {
 }
 
 func TestWatchdogStall(t *testing.T) {
-	cfg := snapConfig(6, 1, false)
+	cfg := snapConfig(6, false)
 	cfg.Watchdog = &sim.Watchdog{
 		Stall: 50 * time.Millisecond,
 		Tick:  time.Millisecond,
@@ -73,7 +73,7 @@ func TestWatchdogStall(t *testing.T) {
 }
 
 func TestWatchdogMaxWall(t *testing.T) {
-	cfg := snapConfig(6, 1, false)
+	cfg := snapConfig(6, false)
 	cfg.Watchdog = &sim.Watchdog{
 		MaxWall: 150 * time.Millisecond,
 		Tick:    time.Millisecond,
@@ -93,22 +93,20 @@ func TestWatchdogMaxWall(t *testing.T) {
 }
 
 // TestWatchdogBenign: an armed-but-untripped watchdog must not perturb
-// the run, at either worker count.
+// the run.
 func TestWatchdogBenign(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		cfg := snapConfig(6, workers, true)
-		base, err := sim.Run(cfg, snapSource(t, cfg, 240), policy.NewTPM(5), 240)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg2 := snapConfig(6, workers, true)
-		cfg2.Watchdog = &sim.Watchdog{MaxWall: time.Hour, MaxEvents: 1 << 60, Stall: time.Hour}
-		guarded, err := sim.Run(cfg2, snapSource(t, cfg2, 240), policy.NewTPM(5), 240)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base, guarded) {
-			t.Fatalf("workers=%d: watchdog perturbed the run", workers)
-		}
+	cfg := snapConfig(6, true)
+	base, err := sim.Run(cfg, snapSource(t, cfg, 240), policy.NewTPM(5), 240)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg2 := snapConfig(6, true)
+	cfg2.Watchdog = &sim.Watchdog{MaxWall: time.Hour, MaxEvents: 1 << 60, Stall: time.Hour}
+	guarded, err := sim.Run(cfg2, snapSource(t, cfg2, 240), policy.NewTPM(5), 240)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base, guarded) {
+		t.Fatal("watchdog perturbed the run")
 	}
 }

@@ -222,10 +222,10 @@ func TestCalendarTieBreakStability(t *testing.T) {
 	}
 }
 
-// TestNextAtAndRunBefore covers the two engine entry points the
-// partitioned runner depends on: peeking the next event time without
-// firing, and draining strictly below a horizon.
-func TestNextAtAndRunBefore(t *testing.T) {
+// TestNextAt covers peeking the next event time without firing it, the
+// entry point the run loop uses to place snapshot boundaries between
+// events.
+func TestNextAt(t *testing.T) {
 	e := New()
 	if _, ok := e.NextAt(); ok {
 		t.Fatal("NextAt on empty calendar reported an event")
@@ -238,19 +238,17 @@ func TestNextAtAndRunBefore(t *testing.T) {
 	if at, ok := e.NextAt(); !ok || at != 1 {
 		t.Fatalf("NextAt = %v,%v, want 1,true", at, ok)
 	}
-	e.RunBefore(2.5)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("RunBefore(2.5) fired %v, want [1 2]", got)
+	if len(got) != 0 || e.Now() != 0 {
+		t.Fatalf("NextAt fired %v and moved the clock to %v", got, e.Now())
 	}
-	if e.Now() != 2 {
-		t.Fatalf("clock at %v after RunBefore, want 2 (last fired event)", e.Now())
-	}
+	e.Step()
+	e.Step()
 	if at, ok := e.NextAt(); !ok || at != 2.5 {
-		t.Fatalf("NextAt after RunBefore = %v,%v, want 2.5,true", at, ok)
+		t.Fatalf("NextAt after two steps = %v,%v, want 2.5,true", at, ok)
 	}
-	e.RunBefore(100)
-	if len(got) != 5 {
-		t.Fatalf("drain fired %d events, want 5", len(got))
+	e.RunAll()
+	if _, ok := e.NextAt(); ok || len(got) != 5 {
+		t.Fatalf("drained calendar: fired %d events, NextAt ok=%v", len(got), ok)
 	}
 }
 

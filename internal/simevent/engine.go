@@ -77,23 +77,6 @@ type Engine struct {
 	now     float64
 	seq     uint64
 	stopped bool
-	// seqSrc, when non-nil, replaces the engine-local counter: several
-	// engines in one partitioned run share a single sequence source so that
-	// (at, seq) is a total order across all of them, identical to the order
-	// one engine would have produced. See ShareSeq.
-	seqSrc *uint64
-	// Window state (BeginWindow/EndWindows): while a window is open the
-	// engine assigns provisional sequence numbers from provSeq and logs
-	// every fire and schedule so the coordinator can later renumber the
-	// window's events in the deterministic cross-engine merge order.
-	window     bool
-	provBase   uint64
-	provSeq    uint64
-	fires      []fireRec
-	scheds     []schedRec
-	schedPos   int
-	provTrue   []uint64
-	fireCursor int
 	// processed counts events that have fired, for instrumentation.
 	processed uint64
 
@@ -113,24 +96,6 @@ type Engine struct {
 	lastAt float64
 	gapSum float64
 	gapN   uint64
-}
-
-// fireRec is one fired event in a window log: enough to replay the
-// window's fire order during the cross-engine merge.
-type fireRec struct {
-	at  float64
-	seq uint64
-}
-
-// schedRec is one schedule call made during a window: the index of the
-// firing event whose callback made it, the node it produced, and the
-// provisional sequence number it was assigned. The (node, prov) pair
-// detects node recycling: the node is only renumbered if it still carries
-// the provisional sequence, i.e. it is still the same pending event.
-type schedRec struct {
-	parent int
-	n      *node
-	prov   uint64
 }
 
 // cell is one calendar bucket: a doubly-linked chain sorted by (at, seq).
@@ -179,13 +144,6 @@ func (e *Engine) Reset() {
 	e.lastAt = 0
 	e.gapSum = 0
 	e.gapN = 0
-	e.seqSrc = nil
-	e.window = false
-	e.fires = e.fires[:0]
-	e.scheds = e.scheds[:0]
-	e.schedPos = 0
-	e.provTrue = e.provTrue[:0]
-	e.fireCursor = 0
 }
 
 // day quantizes an event time to the calendar's current day width.
@@ -218,22 +176,8 @@ func (e *Engine) At(t float64, fn func()) Event {
 	n := e.alloc()
 	n.at = t
 	n.fn = fn
-	switch {
-	case e.window:
-		// Inside a window: provisional numbers, logged for the merge.
-		// They start above every pending true sequence (the shared counter
-		// snapshot), so same-instant ordering within the engine already
-		// matches the order the renumbering will assign.
-		n.seq = e.provSeq
-		e.provSeq++
-		e.scheds = append(e.scheds, schedRec{parent: len(e.fires) - 1, n: n, prov: n.seq})
-	case e.seqSrc != nil:
-		n.seq = *e.seqSrc
-		*e.seqSrc++
-	default:
-		n.seq = e.seq
-		e.seq++
-	}
+	n.seq = e.seq
+	e.seq++
 	e.insert(n)
 	if e.count > 2*len(e.buckets) {
 		e.resize(2 * len(e.buckets))
@@ -350,111 +294,6 @@ func (e *Engine) NextAt() (float64, bool) {
 	return n.at, true
 }
 
-// NextKey reports the (time, sequence) key of the earliest pending event,
-// if any. With a shared sequence source (ShareSeq) the key is comparable
-// across engines, which is how the partitioned runner replays the exact
-// sequential order at cross-engine same-instant ties.
-func (e *Engine) NextKey() (float64, uint64, bool) {
-	n := e.peek()
-	if n == nil {
-		return 0, 0, false
-	}
-	return n.at, n.seq, true
-}
-
-// ShareSeq makes the engine draw event sequence numbers from src instead
-// of its own counter. Every engine of a partitioned run shares one source,
-// so schedule calls — which the coordinator makes in exactly the order the
-// sequential run would — receive exactly the sequence numbers the
-// sequential run would assign, and (at, seq) stays a cross-engine total
-// order equal to the sequential firing order. The source is read and
-// advanced without synchronization: only the coordinator may schedule
-// outside a window.
-func (e *Engine) ShareSeq(src *uint64) { e.seqSrc = src }
-
-// BeginWindow puts the engine in window mode for a parallel cold-window
-// run: sequence numbers become provisional (engine-local, starting at the
-// shared counter's current value, above every pending true sequence) and
-// every fire and schedule is logged. Windows of several engines may then
-// run concurrently without touching the shared counter; EndWindows
-// renumbers afterwards. Requires ShareSeq.
-func (e *Engine) BeginWindow() {
-	if e.seqSrc == nil {
-		panic("simevent: BeginWindow without ShareSeq")
-	}
-	e.window = true
-	e.provBase = *e.seqSrc
-	e.provSeq = e.provBase
-	e.fires = e.fires[:0]
-	e.scheds = e.scheds[:0]
-	e.schedPos = 0
-	e.provTrue = e.provTrue[:0]
-	e.fireCursor = 0
-}
-
-// trueSeqOf resolves a window-log sequence number to its true value: fires
-// of events that were pending before the window carry true numbers
-// already; window-scheduled children are looked up in the renumbering
-// table, which the merge fills in parent-fire order (a child can only be
-// at the head of a window log after its parent was consumed, so the entry
-// is always present by the time it is needed).
-func (e *Engine) trueSeqOf(s uint64) uint64 {
-	if s < e.provBase {
-		return s
-	}
-	return e.provTrue[s-e.provBase]
-}
-
-// EndWindows closes the windows opened by BeginWindow on engines and
-// renumbers everything they scheduled. The windows' fire logs are merged
-// by (at, true seq) — the order the sequential run would have fired those
-// same events in — and each fired event's schedule calls draw their true
-// sequence numbers from src in that order, exactly reproducing the
-// sequential assignment. Pending children are renumbered in place; their
-// relative order never changes (children are renumbered in provisional
-// order per engine, and provisional numbers already sort after every
-// pre-window sequence), so the sorted bucket chains stay valid.
-func EndWindows(engines []*Engine, src *uint64) {
-	for {
-		best := -1
-		var bestAt float64
-		var bestSeq uint64
-		for i, e := range engines {
-			if e.fireCursor >= len(e.fires) {
-				continue
-			}
-			f := e.fires[e.fireCursor]
-			ts := e.trueSeqOf(f.seq)
-			if best < 0 || f.at < bestAt || (f.at == bestAt && ts < bestSeq) {
-				best, bestAt, bestSeq = i, f.at, ts
-			}
-		}
-		if best < 0 {
-			break
-		}
-		e := engines[best]
-		for e.schedPos < len(e.scheds) && e.scheds[e.schedPos].parent == e.fireCursor {
-			rec := e.scheds[e.schedPos]
-			t := *src
-			*src++
-			e.provTrue = append(e.provTrue, t)
-			if rec.n.bucket >= 0 && rec.n.seq == rec.prov {
-				rec.n.seq = t
-			}
-			e.schedPos++
-		}
-		e.fireCursor++
-	}
-	for _, e := range engines {
-		e.window = false
-		e.fires = e.fires[:0]
-		e.scheds = e.scheds[:0]
-		e.schedPos = 0
-		e.provTrue = e.provTrue[:0]
-		e.fireCursor = 0
-	}
-}
-
 // Step fires the earliest pending event and advances the clock to it.
 // It returns false when the calendar is empty.
 func (e *Engine) Step() bool {
@@ -465,9 +304,6 @@ func (e *Engine) Step() bool {
 	e.unlink(n)
 	e.now = n.at
 	fn := n.fn
-	if e.window {
-		e.fires = append(e.fires, fireRec{at: n.at, seq: n.seq})
-	}
 	e.release(n)
 	e.processed++
 	// Zero gaps count too: a workload of same-instant bursts separated by
@@ -514,21 +350,6 @@ func (e *Engine) Run(until float64) {
 	}
 	if e.now < until && !e.stopped {
 		e.now = until
-	}
-}
-
-// RunBefore fires events strictly earlier than `horizon` and leaves the
-// clock at the last fired event (events at exactly `horizon` stay
-// pending). The partitioned runner uses it to drain a partition up to, but
-// not including, the next globally-ordered event.
-func (e *Engine) RunBefore(horizon float64) {
-	e.stopped = false
-	for !e.stopped {
-		n := e.peek()
-		if n == nil || n.at >= horizon {
-			break
-		}
-		e.Step()
 	}
 }
 
