@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"hibernator/internal/chaos"
 	"hibernator/internal/experiments"
 	"hibernator/internal/report"
+	"hibernator/internal/scenario"
 	"hibernator/internal/sim"
 )
 
@@ -91,7 +91,7 @@ rate 200
 // bound how long full-scale experiments take. Scenario construction
 // (BuildRun) is excluded from both.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	sc, err := chaos.ParseRepro(strings.NewReader(throughputScenario))
+	sc, err := scenario.ParseRepro(strings.NewReader(throughputScenario))
 	if err != nil {
 		b.Fatal(err)
 	}

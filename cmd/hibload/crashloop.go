@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"hibernator/internal/chaos"
+	"hibernator/internal/scenario"
 	"hibernator/internal/served"
 )
 
@@ -54,9 +55,10 @@ type crashOpts struct {
 
 // crashServer owns the spawned hibserved process.
 type crashServer struct {
-	opts crashOpts
-	mu   sync.Mutex
-	cmd  *exec.Cmd
+	opts   crashOpts
+	mu     sync.Mutex
+	cmd    *exec.Cmd
+	exited chan struct{} // closed once cmd has been reaped
 }
 
 func (cs *crashServer) start() {
@@ -74,15 +76,23 @@ func (cs *crashServer) start() {
 		fatalf("crashloop: start %s: %v", cs.opts.servedBin, err)
 	}
 	cs.cmd = cmd
-	go cmd.Wait() // reap; kill -9 exits are expected
+	exited := make(chan struct{})
+	cs.exited = exited
+	go func() {
+		cmd.Wait() // reap; kill -9 exits are expected
+		close(exited)
+	}()
 }
 
-// kill delivers SIGKILL — the crash under test, never a graceful stop.
+// kill delivers SIGKILL — the crash under test, never a graceful stop —
+// and waits until the process is gone, so the next start never finds
+// the dead server still holding the listen address.
 func (cs *crashServer) kill() {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.cmd != nil && cs.cmd.Process != nil {
 		_ = cs.cmd.Process.Kill()
+		<-cs.exited
 	}
 }
 
@@ -130,7 +140,7 @@ func runCrashloop(o crashOpts) {
 			fatalf("crashloop: scenario %d invalid: %v", i, err)
 		}
 		var buf bytes.Buffer
-		if err := chaos.WriteRepro(&buf, &g); err != nil {
+		if err := scenario.WriteRepro(&buf, &g); err != nil {
 			fatalf("crashloop: scenario %d: %v", i, err)
 		}
 		bodies[i] = buf.Bytes()

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"hibernator/internal/chaos"
+	"hibernator/internal/scenario"
 	"hibernator/internal/served"
 )
 
@@ -114,7 +115,7 @@ func main() {
 	}
 
 	// Distinct scenarios, with their direct-run references computed once.
-	scenarios := make([]*chaos.Scenario, *distinct)
+	scenarios := make([]*scenario.Scenario, *distinct)
 	bodies := make([][]byte, *distinct)
 	refs := make([]reference, *distinct)
 	for i := range scenarios {
@@ -128,7 +129,7 @@ func main() {
 		}
 		scenarios[i] = &g
 		var buf bytes.Buffer
-		if err := chaos.WriteRepro(&buf, &g); err != nil {
+		if err := scenario.WriteRepro(&buf, &g); err != nil {
 			fatalf("scenario %d: %v", i, err)
 		}
 		bodies[i] = buf.Bytes()
@@ -348,7 +349,7 @@ func (h *harness) exerciseSuspend(seed int64, simT float64) {
 		fatalf("suspend exercise direct run: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := chaos.WriteRepro(&buf, &g); err != nil {
+	if err := scenario.WriteRepro(&buf, &g); err != nil {
 		fatalf("suspend exercise: %v", err)
 	}
 	id := h.submit(buf.Bytes())
@@ -425,7 +426,7 @@ func probeQuotas(seed int64, simT float64) {
 		long.SnapshotT = 0
 	}
 	var buf bytes.Buffer
-	if err := chaos.WriteRepro(&buf, &long); err != nil {
+	if err := scenario.WriteRepro(&buf, &long); err != nil {
 		fatalf("quota probe: %v", err)
 	}
 	post := func(client string) (*http.Response, map[string]string) {

@@ -29,11 +29,9 @@ import (
 	"hibernator/internal/cliutil"
 	"hibernator/internal/diskmodel"
 	"hibernator/internal/fault"
-	"hibernator/internal/hibernator"
 	"hibernator/internal/invariant"
 	"hibernator/internal/obs"
-	"hibernator/internal/policy"
-	"hibernator/internal/raid"
+	"hibernator/internal/scenario"
 	"hibernator/internal/sim"
 	"hibernator/internal/snapshot"
 	"hibernator/internal/trace"
@@ -94,78 +92,50 @@ func main() {
 	}
 	servePprof(*pprofAddr)
 
-	var spec diskmodel.Spec
-	switch strings.ToLower(*family) {
-	case "enterprise":
-		spec = diskmodel.SingleSpeedUltrastar()
-		if *levels > 1 {
-			spec = diskmodel.MultiSpeedUltrastar(*levels, 3000)
-		}
-	case "sff":
-		spec = diskmodel.MultiSpeedSFF(*levels, 1800)
-	default:
-		fatalf("unknown disk family %q", *family)
+	// The flags describe one scenario, names lower-cased. hibsim builds
+	// it through the shared parts but does not Validate it: the repro
+	// bounds guard outside input, and this CLI has always accepted, say,
+	// -levels 12.
+	sc := scenario.Scenario{
+		Seed:       *seed,
+		Duration:   *duration,
+		Scheme:     strings.ToLower(*scheme),
+		Family:     strings.ToLower(*family),
+		Levels:     *levels,
+		Groups:     *groups,
+		GroupDisks: *groupDisks,
+		RAID:       strings.ToLower(*raidLevel),
+		CacheMB:    *cacheMB,
+		Workload:   strings.ToLower(*workload),
+		Rate:       *rate,
 	}
-	var scheduler diskmodel.Scheduler
-	switch strings.ToLower(*sched) {
-	case "fcfs":
-		scheduler = diskmodel.FCFS
-	case "sptf":
-		scheduler = diskmodel.SPTF
-	default:
-		fatalf("unknown scheduler %q", *sched)
+	if sc.Scheme == "maid" {
+		sc.SpareDisks = 2
 	}
-	var level raid.Level
-	switch strings.ToLower(*raidLevel) {
-	case "raid0":
-		level = raid.RAID0
-	case "raid1":
-		level = raid.RAID1
-	case "raid5":
-		level = raid.RAID5
-	default:
-		fatalf("unknown RAID level %q", *raidLevel)
+	if sc.Workload == "cello" {
+		sc.Rate = 0 // -rate is the oltp rate; cello keeps its default day rate
 	}
 	if *epoch == 0 {
-		*epoch = *duration / 4
-	}
-
-	cfg := sim.Config{
-		Spec:               spec,
-		Groups:             *groups,
-		GroupDisks:         *groupDisks,
-		Level:              level,
-		ExtentBytes:        64 << 20,
-		CacheBytes:         *cacheMB << 20,
-		RespGoal:           goal.Seconds(),
-		Seed:               *seed,
-		ExpectedRotLatency: true,
-		Scheduler:          scheduler,
+		*epoch = sc.Epoch()
 	}
 
 	// Fault injection: a CSV schedule and/or ambient rates. Arming any of
-	// them also arms the retry/timeout policy; with none of them the retry
-	// machinery stays a strict no-op and runs are bit-identical to a build
-	// that never heard of faults.
-	var faultSched *fault.Schedule
+	// them also arms the retry/timeout policy, even a schedule with no
+	// events; with none of them the retry machinery stays a strict no-op
+	// and runs are bit-identical to a build that never heard of faults.
+	faultsArmed := *faultsFile != "" || *faultRate > 0 || *spinFail > 0
 	if *faultsFile != "" {
-		var err error
-		faultSched, err = fault.Load(*faultsFile)
+		fs, err := fault.Load(*faultsFile)
 		if err != nil {
 			fatalf("%v", err)
 		}
+		sc.Events = fs.Events
 	}
 	if *faultRate > 0 || *spinFail > 0 {
-		if faultSched == nil {
-			faultSched = &fault.Schedule{}
-		}
-		faultSched.Rates.TransientProb = *faultRate
-		faultSched.Rates.SpinUpFailProb = *spinFail
-		faultSched.Rates.SpinUpRetries = 2
+		sc.Rates = fault.Rates{TransientProb: *faultRate, SpinUpFailProb: *spinFail, SpinUpRetries: 2}
 	}
-	if faultSched != nil {
-		cfg.Faults = faultSched
-		cfg.Retry = array.RetryPolicy{
+	if faultsArmed {
+		sc.Retry = array.RetryPolicy{
 			MaxRetries:    *retries,
 			Backoff:       0.01,
 			BackoffFactor: 4,
@@ -176,25 +146,26 @@ func main() {
 		}
 	}
 
-	var ctrl sim.Controller
-	switch strings.ToLower(*scheme) {
-	case "base":
-		ctrl = policy.NewBase()
-	case "tpm":
-		ctrl = policy.NewTPM(0)
-	case "drpm":
-		ctrl = policy.NewDRPM()
-	case "pdc":
-		p := policy.NewPDC()
-		p.Epoch = *epoch
-		ctrl = p
-	case "maid":
-		cfg.SpareDisks = 2
-		ctrl = policy.NewMAID()
-	case "hibernator":
-		ctrl = hibernator.New(hibernator.Options{Epoch: *epoch})
+	cfg, err := sc.Config()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	// The goal goes onto the config as the flag's own seconds, not through
+	// the scenario's milliseconds: 8.4ms would come back one ulp off.
+	cfg.RespGoal = goal.Seconds()
+	switch strings.ToLower(*sched) {
+	case "fcfs":
+		cfg.Scheduler = diskmodel.FCFS
+	case "sptf":
+		cfg.Scheduler = diskmodel.SPTF
 	default:
-		fatalf("unknown scheme %q", *scheme)
+		fatalf("unknown scheduler %q", *sched)
+	}
+	// The explicit epoch goes to the controller as seconds: folding it
+	// into EpochFrac would not round-trip (3600*(57/3600) != 57).
+	ctrl, err := scenario.NewController(sc.Scheme, *epoch)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	var src trace.Source
@@ -208,26 +179,8 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-	} else {
-		vol, err := sim.LogicalBytes(cfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		switch strings.ToLower(*workload) {
-		case "oltp":
-			src, err = trace.NewOLTP(trace.OLTPConfig{
-				Seed: *seed + 11, VolumeBytes: vol, Duration: *duration, MaxRate: *rate,
-			})
-		case "cello":
-			src, err = trace.NewCello(trace.CelloConfig{
-				Seed: *seed + 11, VolumeBytes: vol, Duration: *duration, DayPeriod: *duration,
-			})
-		default:
-			fatalf("unknown workload %q", *workload)
-		}
-		if err != nil {
-			fatalf("%v", err)
-		}
+	} else if src, err = sc.Source(cfg); err != nil {
+		fatalf("%v", err)
 	}
 
 	if *failAt > 0 {
@@ -250,7 +203,7 @@ func main() {
 	// config.* section itself; the cli.* entries extend the identity check
 	// to what only this binary knows — which workload generator (or trace
 	// file) produced the request stream.
-	wl := strings.ToLower(*workload)
+	wl := sc.Workload
 	if *traceFile != "" {
 		wl = "csv"
 	}
@@ -324,7 +277,7 @@ func main() {
 	}
 	fmt.Printf("transitions     %d spin-ups, %d spin-downs, %d speed shifts\n", res.SpinUps, res.SpinDowns, res.LevelShifts)
 	fmt.Printf("migrations      %d extents, %.1f GiB\n", res.Migrations, float64(res.MigratedBytes)/(1<<30))
-	if cfg.Faults != nil {
+	if faultsArmed {
 		f := res.Faults
 		fmt.Printf("faults          %d injected (%d skipped), %d transient errs, %d latent, %d spin-up failures\n",
 			f.Injected, f.SkippedInjections, f.TransientErrs, f.LatentErrs, f.SpinUpFailures)
@@ -394,7 +347,7 @@ func validateFlags(f simFlags) error {
 // the verdict. Exit status 0 means the scenario no longer fails — i.e. the
 // bug it reproduced is fixed — and 1 means it still does.
 func runRepro(path string) int {
-	sc, err := chaos.LoadRepro(path)
+	sc, err := scenario.LoadRepro(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hibsim: %v\n", err)
 		return 1
@@ -403,7 +356,7 @@ func runRepro(path string) int {
 	fmt.Printf("scenario        %s\n", sc.String())
 	start := time.Now()
 	fail := chaos.Execute(sc)
-	fmt.Printf("judged          %d runs in %v\n", sc.RunsPerExecute(), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("judged          %d runs in %v\n", chaos.RunsPerExecute(sc), time.Since(start).Round(time.Millisecond))
 	if fail != nil {
 		fmt.Printf("verdict         FAIL (%s)\n", fail.Kind)
 		fmt.Printf("detail          %s\n", fail.Detail)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"hibernator/internal/scenario"
 	"hibernator/internal/sim"
 )
 
@@ -44,7 +45,7 @@ const maxAllocsPerRequest = 0.8
 // TestAllocsPerSimulatedRequest gates the simulator's allocation cost
 // per simulated request end to end, through sim.Run.
 func TestAllocsPerSimulatedRequest(t *testing.T) {
-	sc, err := ParseRepro(strings.NewReader(allocGateScenario))
+	sc, err := scenario.ParseRepro(strings.NewReader(allocGateScenario))
 	if err != nil {
 		t.Fatal(err)
 	}

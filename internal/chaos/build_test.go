@@ -8,11 +8,12 @@ import (
 
 // A BuildRun execution must be the same simulation the oracles run:
 // byte-identical fingerprints across materializations and against the
-// package-internal path. The job server's result-verification contract
-// (served result == direct sim.Run) rests on this.
+// oracles' own path (checker plumbing and panic recovery included). The
+// job server's result-verification contract (served result == direct
+// sim.Run) rests on this.
 func TestBuildRunMatchesInternalRun(t *testing.T) {
 	s := Generate(1, 7)
-	want, _, fail := s.runOnce(false)
+	want, _, fail := runOnce(&s, false)
 	if fail != nil {
 		t.Fatalf("internal run failed: %v", fail)
 	}

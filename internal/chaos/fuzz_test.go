@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"hibernator/internal/scenario"
 )
 
 // FuzzParseRepro holds the repro parser to two properties: it never
@@ -14,7 +16,7 @@ func FuzzParseRepro(f *testing.F) {
 	s := Generate(1, 0)
 	armBug(&s)
 	var buf bytes.Buffer
-	if err := WriteRepro(&buf, &s); err != nil {
+	if err := scenario.WriteRepro(&buf, &s); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.String())
@@ -33,7 +35,7 @@ func FuzzParseRepro(f *testing.F) {
 	f.Add("# hibchaos repro v1\ngroup-disks -4\n")
 
 	f.Fuzz(func(t *testing.T, in string) {
-		s, err := ParseRepro(strings.NewReader(in))
+		s, err := scenario.ParseRepro(strings.NewReader(in))
 		if err != nil {
 			return
 		}
@@ -41,15 +43,15 @@ func FuzzParseRepro(f *testing.F) {
 			t.Fatalf("ParseRepro accepted an invalid scenario: %v", err)
 		}
 		var a bytes.Buffer
-		if err := WriteRepro(&a, s); err != nil {
+		if err := scenario.WriteRepro(&a, s); err != nil {
 			t.Fatalf("WriteRepro: %v", err)
 		}
-		s2, err := ParseRepro(bytes.NewReader(a.Bytes()))
+		s2, err := scenario.ParseRepro(bytes.NewReader(a.Bytes()))
 		if err != nil {
 			t.Fatalf("reparse of own output failed: %v\n%s", err, a.String())
 		}
 		var b bytes.Buffer
-		if err := WriteRepro(&b, s2); err != nil {
+		if err := scenario.WriteRepro(&b, s2); err != nil {
 			t.Fatalf("WriteRepro: %v", err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -5,6 +5,7 @@ import (
 
 	"hibernator/internal/array"
 	"hibernator/internal/fault"
+	"hibernator/internal/scenario"
 )
 
 // Generate samples the index-th scenario of a soak seeded with seed. The
@@ -17,9 +18,9 @@ import (
 // simulated minutes), small arrays (up to 4x5 plus spares), every scheme,
 // both disk families and workloads, retry policies from fully disabled to
 // aggressive, ambient error rates, and up to four scripted fault events.
-func Generate(seed int64, index int) Scenario {
+func Generate(seed int64, index int) scenario.Scenario {
 	rng := rand.New(rand.NewSource(mix(seed, int64(index))))
-	s := Scenario{
+	s := scenario.Scenario{
 		// A distinct simulation seed per scenario, decoupled from the
 		// shape choices below so shrinking never re-rolls the workload.
 		Seed: int64(rng.Uint64() >> 1),
@@ -107,7 +108,7 @@ func Generate(seed int64, index int) Scenario {
 }
 
 // randomEvent samples one scripted fault aimed at a valid disk.
-func randomEvent(rng *rand.Rand, s *Scenario) fault.Event {
+func randomEvent(rng *rand.Rand, s *scenario.Scenario) fault.Event {
 	ev := fault.Event{
 		Time: snap(rng.Float64() * 0.8 * s.Duration),
 		Disk: rng.Intn(s.TotalDisks()),

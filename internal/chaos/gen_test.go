@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"hibernator/internal/scenario"
 )
 
 // The generator's contract: every sampled scenario is valid, and sampling
@@ -30,20 +32,31 @@ func TestGenerateAlwaysValid(t *testing.T) {
 }
 
 // TestGenerateStreamPinned pins the seed-1 scenario stream, which is what
-// the reference soak (hibchaos -seed 1 -n 5000) runs. The hash covers
-// String() of the first 200 scenarios, one per line. It was taken when
-// Scenario still had an engine-width field, with that field's
+// the reference soak (hibchaos -seed 1 -n 5000) runs. The first hash
+// covers String() of the first 200 scenarios, one per line. It was taken
+// when Scenario still had an engine-width field, with that field's
 // " workers=N" token stripped; Generate still consumes that draw, so
-// every later draw (SnapshotT first) is unchanged.
+// every later draw (SnapshotT first) is unchanged. The second hash
+// covers the same 200 scenarios' repro bytes (WriteRepro, concatenated),
+// so the serialized form is pinned field for field, not just the
+// one-line summary.
 func TestGenerateStreamPinned(t *testing.T) {
 	h := sha256.New()
+	repro := sha256.New()
 	for i := 0; i < 200; i++ {
 		s := Generate(1, i)
 		fmt.Fprintln(h, s.String())
+		if err := scenario.WriteRepro(repro, &s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const want = "75e6a780e46b808e1d42d535a1c50c9d8c3111c3ec4aa144b32c095fd6a5fc39"
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
 		t.Fatalf("seed-1 scenario stream changed: sha256 %s, want %s", got, want)
+	}
+	const wantRepro = "6c32dbb3f588e36bd8d6a84fb2785db3b5948a035ec8d2af079990e8a3566726"
+	if got := fmt.Sprintf("%x", repro.Sum(nil)); got != wantRepro {
+		t.Fatalf("seed-1 repro bytes changed: sha256 %s, want %s", got, wantRepro)
 	}
 }
 

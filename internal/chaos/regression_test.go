@@ -3,6 +3,8 @@ package chaos
 import (
 	"path/filepath"
 	"testing"
+
+	"hibernator/internal/scenario"
 )
 
 // TestCheckedInReprosStayFixed replays every repro under testdata/repros.
@@ -31,7 +33,7 @@ func TestCheckedInReprosStayFixed(t *testing.T) {
 		f := f
 		t.Run(filepath.Base(f), func(t *testing.T) {
 			t.Parallel()
-			sc, err := LoadRepro(f)
+			sc, err := scenario.LoadRepro(f)
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}

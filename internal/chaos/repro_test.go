@@ -2,10 +2,15 @@ package chaos
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"hibernator/internal/scenario"
 )
 
 // Repro files must round-trip every scenario field exactly: the file is
@@ -18,10 +23,10 @@ func TestReproRoundTrip(t *testing.T) {
 			armBug(&s)
 		}
 		var buf bytes.Buffer
-		if err := WriteRepro(&buf, &s); err != nil {
+		if err := scenario.WriteRepro(&buf, &s); err != nil {
 			t.Fatalf("WriteRepro: %v", err)
 		}
-		got, err := ParseRepro(bytes.NewReader(buf.Bytes()))
+		got, err := scenario.ParseRepro(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("ParseRepro(index %d): %v\n%s", i, err, buf.String())
 		}
@@ -35,7 +40,7 @@ func TestReproRoundTrip(t *testing.T) {
 		}
 		// Canonical: re-serializing the parse is byte-identical.
 		var buf2 bytes.Buffer
-		if err := WriteRepro(&buf2, got); err != nil {
+		if err := scenario.WriteRepro(&buf2, got); err != nil {
 			t.Fatalf("WriteRepro(reparse): %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -47,10 +52,10 @@ func TestReproRoundTrip(t *testing.T) {
 func TestSaveLoadRepro(t *testing.T) {
 	s := Generate(5, 17)
 	path := filepath.Join(t.TempDir(), "x.repro")
-	if err := SaveRepro(path, &s); err != nil {
+	if err := scenario.SaveRepro(path, &s); err != nil {
 		t.Fatalf("SaveRepro: %v", err)
 	}
-	got, err := LoadRepro(path)
+	got, err := scenario.LoadRepro(path)
 	if err != nil {
 		t.Fatalf("LoadRepro: %v", err)
 	}
@@ -63,7 +68,7 @@ func TestParseReproErrors(t *testing.T) {
 	valid := func(extra string) string {
 		s := Generate(1, 0)
 		var buf bytes.Buffer
-		WriteRepro(&buf, &s)
+		scenario.WriteRepro(&buf, &s)
 		return buf.String() + extra
 	}
 	cases := []struct {
@@ -82,11 +87,11 @@ func TestParseReproErrors(t *testing.T) {
 		{"bad scheme", valid("scheme warp\n"), "unknown scheme"},
 		{"raid1 odd disks", valid("raid raid1\ngroup-disks 3\n"), "raid"},
 		{"negative duration", valid("duration -5\n"), "duration must be positive"},
-		{"overlong line", "# hibchaos repro v1\nseed " + strings.Repeat("9", maxReproLine+10) + "\n", "exceeds"},
+		{"overlong line", "# hibchaos repro v1\nseed " + strings.Repeat("9", (64<<10)+10) + "\n", "exceeds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseRepro(strings.NewReader(tc.in))
+			_, err := scenario.ParseRepro(strings.NewReader(tc.in))
 			if err == nil {
 				t.Fatalf("ParseRepro accepted %q", tc.name)
 			}
@@ -99,7 +104,7 @@ func TestParseReproErrors(t *testing.T) {
 
 func TestParseReproLineNumbers(t *testing.T) {
 	in := "# hibchaos repro v1\nseed 1\nlevels banana\n"
-	_, err := ParseRepro(strings.NewReader(in))
+	_, err := scenario.ParseRepro(strings.NewReader(in))
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("want line 3 in error, got %v", err)
 	}
@@ -109,45 +114,82 @@ func TestParseReproLineNumbers(t *testing.T) {
 // width carry a "workers N" line. It must still parse, change nothing, and
 // never be written again.
 func TestParseReproIgnoresWorkers(t *testing.T) {
-	s := Scenario{
+	s := scenario.Scenario{
 		Seed: 5, Duration: 60,
 		Scheme: "tpm", Family: "enterprise", Levels: 2,
 		Groups: 2, GroupDisks: 3, RAID: "raid5",
 		Workload: "oltp", Rate: 10,
 	}
 	var buf bytes.Buffer
-	if err := WriteRepro(&buf, &s); err != nil {
+	if err := scenario.WriteRepro(&buf, &s); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
 	if strings.Contains(text, "workers") {
 		t.Fatalf("WriteRepro emitted a workers line:\n%s", text)
 	}
-	plain, err := ParseRepro(strings.NewReader(text))
+	plain, err := scenario.ParseRepro(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := ParseRepro(strings.NewReader(strings.Replace(text, "epoch-frac", "workers 8\nepoch-frac", 1)))
+	old, err := scenario.ParseRepro(strings.NewReader(strings.Replace(text, "epoch-frac", "workers 8\nepoch-frac", 1)))
 	if err != nil {
 		t.Fatalf("repro with a workers line: %v", err)
 	}
 	if !reflect.DeepEqual(plain, old) {
 		t.Fatalf("workers line changed the scenario:\n got %+v\nwant %+v", *old, *plain)
 	}
-	for _, sc := range []*Scenario{plain, old} {
+	for _, sc := range []*scenario.Scenario{plain, old} {
 		if fail := Execute(sc); fail != nil {
 			t.Fatalf("Execute: %v", fail)
 		}
 	}
-	resP, _, fail := plain.runOnce(false)
+	resP, _, fail := runOnce(plain, false)
 	if fail != nil {
 		t.Fatal(fail)
 	}
-	resO, _, fail := old.runOnce(false)
+	resO, _, fail := runOnce(old, false)
 	if fail != nil {
 		t.Fatal(fail)
 	}
 	if fp, fo := fingerprintOf(resP), fingerprintOf(resO); fp != fo {
 		t.Fatalf("fingerprints differ: %s", fp.diff(fo))
+	}
+}
+
+// The checked-in repro files must rewrite to the same canonical bytes
+// they did when the repro reader and writer were last changed on
+// purpose: parse each file, write it back, and compare the SHA-256 of
+// the output with the pinned one. (The files themselves are not
+// canonical: they carry older comment lines and key order.)
+func TestCheckedInReprosRewriteCanonically(t *testing.T) {
+	want := map[string]string{
+		"seed1-1911.repro": "b04543d85277d4a26206321da4952a604318cb381620fe3d195b65d49a726ec9",
+		"seed1-2674.repro": "a62b31066ea75598d3731239b8d5499d84c3855a906bcdfd508bca28caf18b8e",
+		"seed1-2948.repro": "69b77bf97b824a43631f3c1157a7e5b449d31e5b486533eb488418b6397fdf18",
+	}
+	files, err := filepath.Glob("testdata/repros/*.repro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(want) {
+		t.Fatalf("found %d repro files, want %d", len(files), len(want))
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := scenario.ParseRepro(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		var out bytes.Buffer
+		if err := scenario.WriteRepro(&out, s); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != want[filepath.Base(f)] {
+			t.Fatalf("%s rewrites to sha256 %s, want %s:\n%s", f, got, want[filepath.Base(f)], out.Bytes())
+		}
 	}
 }

@@ -1,3 +1,22 @@
+// Package chaos explores the simulator's configuration space with
+// randomized-but-valid scenarios (internal/scenario) and checks each one
+// against independent oracles: the armed invariant checker
+// (internal/invariant), repeat determinism (the same scenario must
+// reproduce itself bit for bit), armed/unarmed equivalence (observing a
+// run must not perturb it), kill-and-restore (a run resumed from a
+// mid-run snapshot must finish identically), and panic freedom. Any
+// scenario that fails an oracle is automatically shrunk — fault events
+// dropped, the trace shortened, the array reduced, the policy simplified —
+// to a minimal reproducer whose repro file `hibsim -repro <file>` replays
+// exactly.
+//
+// The scenario model, its repro format and its build path belong to
+// internal/scenario; this package owns what judges scenarios: the
+// generator (gen.go) that supplies the breadth, Execute and the
+// fingerprints, the shrinker, the soak, and the fleet-scope oracles.
+// cmd/hibchaos drives soaks over internal/runner so a clean run is also
+// a determinism proof: the soak report is byte-identical across -par
+// widths for a fixed seed.
 package chaos
 
 import (
@@ -7,6 +26,7 @@ import (
 	"strings"
 
 	"hibernator/internal/invariant"
+	"hibernator/internal/scenario"
 	"hibernator/internal/sim"
 	"hibernator/internal/snapshot"
 )
@@ -104,31 +124,24 @@ func (f *Failure) Error() string { return f.Kind + ": " + f.Detail }
 // runOnce executes the scenario once, optionally with the invariant
 // checker armed, converting panics anywhere in the simulation into a
 // FailPanic failure.
-func (s *Scenario) runOnce(armed bool) (*sim.Result, *invariant.Checker, *Failure) {
-	return s.runWith(armed, nil)
+func runOnce(s *scenario.Scenario, armed bool) (*sim.Result, *invariant.Checker, *Failure) {
+	return runWith(s, armed, nil)
 }
 
 // runWith is runOnce with a config hook: the kill-and-restore oracle uses
 // it to arm snapshot capture or restore on an otherwise identical run.
-func (s *Scenario) runWith(armed bool, mutate func(*sim.Config)) (res *sim.Result, chk *invariant.Checker, fail *Failure) {
-	cfg, err := s.simConfig()
+func runWith(s *scenario.Scenario, armed bool, mutate func(*sim.Config)) (res *sim.Result, chk *invariant.Checker, fail *Failure) {
+	r, err := s.BuildRun()
 	if err != nil {
 		return nil, nil, &Failure{Kind: FailError, Detail: err.Error()}
 	}
+	cfg := r.Config
 	if armed {
 		chk = invariant.New()
 		cfg.Invariants = chk
 	}
 	if mutate != nil {
 		mutate(&cfg)
-	}
-	ctrl, err := s.controller()
-	if err != nil {
-		return nil, nil, &Failure{Kind: FailError, Detail: err.Error()}
-	}
-	src, err := s.source(cfg)
-	if err != nil {
-		return nil, nil, &Failure{Kind: FailError, Detail: err.Error()}
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -139,7 +152,7 @@ func (s *Scenario) runWith(armed bool, mutate func(*sim.Config)) (res *sim.Resul
 			res, chk = nil, nil
 		}
 	}()
-	res, err = sim.Run(cfg, src, ctrl, s.Duration)
+	res, err = sim.Run(cfg, r.Source, r.Controller, r.Duration)
 	if err != nil {
 		return nil, nil, &Failure{Kind: FailError, Detail: err.Error()}
 	}
@@ -192,7 +205,7 @@ func violationDetail(chk *invariant.Checker) string {
 // RunsPerExecute is the number of simulation runs one Execute call costs:
 // armed, armed repeat, unarmed — plus a restored run when the
 // kill-and-restore oracle is armed.
-func (s *Scenario) RunsPerExecute() int {
+func RunsPerExecute(s *scenario.Scenario) int {
 	n := 3
 	if s.SnapshotT > 0 {
 		n++
@@ -215,11 +228,11 @@ func (s *Scenario) RunsPerExecute() int {
 //
 // A nil return means the scenario passed. Execute is a pure function of
 // the scenario — the soak and the shrinker both rely on that.
-func Execute(s *Scenario) *Failure {
+func Execute(s *scenario.Scenario) *Failure {
 	if err := s.Validate(); err != nil {
 		return &Failure{Kind: FailError, Detail: err.Error()}
 	}
-	resA, chkA, fail := s.runOnce(true)
+	resA, chkA, fail := runOnce(s, true)
 	if fail != nil {
 		return fail
 	}
@@ -228,7 +241,7 @@ func Execute(s *Scenario) *Failure {
 	}
 	fpA := fingerprintOf(resA)
 
-	resB, chkB, fail := s.runOnce(true)
+	resB, chkB, fail := runOnce(s, true)
 	if fail != nil {
 		return &Failure{Kind: FailRepeat, Detail: "rerun failed where first run passed: " + fail.Error()}
 	}
@@ -255,7 +268,7 @@ func Execute(s *Scenario) *Failure {
 			}
 		}
 	}
-	resC, _, fail := s.runWith(false, capture)
+	resC, _, fail := runWith(s, false, capture)
 	if fail != nil {
 		return &Failure{Kind: FailArmed, Detail: "unarmed run failed where armed passed: " + fail.Error()}
 	}
@@ -276,7 +289,7 @@ func Execute(s *Scenario) *Failure {
 		if !bytes.Equal(raw, reparsed.Bytes()) {
 			return &Failure{Kind: FailRestore, Detail: "snapshot is not a write/parse fixed point"}
 		}
-		resE, _, fail := s.runWith(false, func(cfg *sim.Config) { cfg.ResumeFrom = reparsed })
+		resE, _, fail := runWith(s, false, func(cfg *sim.Config) { cfg.ResumeFrom = reparsed })
 		if fail != nil {
 			return &Failure{Kind: FailRestore, Detail: "restored run failed where straight-through passed: " + fail.Error()}
 		}

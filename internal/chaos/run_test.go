@@ -5,12 +5,14 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"hibernator/internal/scenario"
 )
 
 // tinyScenario is a cheap, known-clean configuration used as the base of
 // the oracle tests.
-func tinyScenario() Scenario {
-	return Scenario{
+func tinyScenario() scenario.Scenario {
+	return scenario.Scenario{
 		Seed: 99, Duration: 60,
 		Scheme: "base", Family: "enterprise", Levels: 1,
 		Groups: 1, GroupDisks: 2, RAID: "raid0",
@@ -58,7 +60,7 @@ func TestExecuteCatchesInjectedEnergySkew(t *testing.T) {
 func TestExecuteWithFaultsAndRetries(t *testing.T) {
 	// A fail-stop on a RAID5 group with the retry policy armed: must pass
 	// all oracles (this is the PR 2/PR 3 machinery under the PR 4 checker).
-	s := Scenario{
+	s := scenario.Scenario{
 		Seed: 4, Duration: 90,
 		Scheme: "hibernator", Family: "enterprise", Levels: 3,
 		Groups: 2, GroupDisks: 3, RAID: "raid5",
@@ -79,7 +81,7 @@ func TestExecuteKillAndRestoreOracle(t *testing.T) {
 	// The kill-and-restore oracle on a loaded scenario: faults, retries,
 	// multi-speed disks, and a mid-run snapshot. A pass proves
 	// capture+restore reproduced the run bit for bit.
-	s := Scenario{
+	s := scenario.Scenario{
 		Seed: 4, Duration: 90,
 		Scheme: "hibernator", Family: "enterprise", Levels: 3,
 		Groups: 2, GroupDisks: 3, RAID: "raid5",
@@ -91,7 +93,7 @@ func TestExecuteKillAndRestoreOracle(t *testing.T) {
 	s.Retry.OpDeadline = 0.25
 	s.Retry.AutoRebuild = true
 	s.Events = append(s.Events, mustParseEvent(t, "30,1,failstop"))
-	if got, want := s.RunsPerExecute(), 4; got != want {
+	if got, want := RunsPerExecute(&s), 4; got != want {
 		t.Fatalf("RunsPerExecute = %d, want %d", got, want)
 	}
 	if fail := Execute(&s); fail != nil {
@@ -126,14 +128,14 @@ func TestExecuteRestoreOracleEveryScheme(t *testing.T) {
 				s.Retry.Backoff = 0.01
 				if legacy {
 					var buf bytes.Buffer
-					if err := WriteRepro(&buf, s); err != nil {
+					if err := scenario.WriteRepro(&buf, s); err != nil {
 						t.Fatal(err)
 					}
 					text := strings.Replace(buf.String(), "snapshot-t ", "workers 8\nsnapshot-t ", 1)
 					if !strings.Contains(text, "workers 8\n") {
 						t.Fatalf("no snapshot-t line to put the workers line before:\n%s", text)
 					}
-					old, err := ParseRepro(strings.NewReader(text))
+					old, err := scenario.ParseRepro(strings.NewReader(text))
 					if err != nil {
 						t.Fatalf("repro with a workers line: %v", err)
 					}

@@ -5,6 +5,7 @@ import (
 
 	"hibernator/internal/array"
 	"hibernator/internal/fault"
+	"hibernator/internal/scenario"
 )
 
 // ShrinkResult is a minimized failing scenario plus the trail that led to
@@ -13,7 +14,7 @@ import (
 // records each accepted simplification in order, and Runs counts the
 // Execute calls spent, shrinking included.
 type ShrinkResult struct {
-	Scenario Scenario
+	Scenario scenario.Scenario
 	Failure  Failure  // the minimized scenario's failure
 	Steps    []string // accepted simplifications, in order
 	Runs     int      // Execute calls consumed (1 Execute = 3 sim runs)
@@ -30,7 +31,7 @@ type ShrinkResult struct {
 // Shrink assumes the caller observed sc failing; it re-establishes the
 // failure itself (one Execute) so the result always carries the verdict
 // the minimized scenario actually produces.
-func Shrink(sc Scenario, budget int) (ShrinkResult, bool) {
+func Shrink(sc scenario.Scenario, budget int) (ShrinkResult, bool) {
 	if budget < 1 {
 		budget = 1
 	}
@@ -78,13 +79,13 @@ func Shrink(sc Scenario, budget int) (ShrinkResult, bool) {
 // describe labels an accepted candidate for the shrink trail.
 type transform struct {
 	name     string
-	apply    func(s *Scenario) []Scenario
-	describe func(s *Scenario) string
+	apply    func(s *scenario.Scenario) []scenario.Scenario
+	describe func(s *scenario.Scenario) string
 }
 
 // dropOutOfRangeEvents removes events that no longer target an existing
 // disk after the array shrank.
-func dropOutOfRangeEvents(s *Scenario) {
+func dropOutOfRangeEvents(s *scenario.Scenario) {
 	kept := s.Events[:0:0]
 	for _, ev := range s.Events {
 		if ev.Disk < s.TotalDisks() {
@@ -97,12 +98,12 @@ func dropOutOfRangeEvents(s *Scenario) {
 var transforms = []transform{
 	{
 		name: "drop-events",
-		apply: func(s *Scenario) []Scenario {
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
 			n := len(s.Events)
 			if n == 0 {
 				return nil
 			}
-			var out []Scenario
+			var out []scenario.Scenario
 			// All of them, each half, then each single event (last first,
 			// so timeline suffixes go before prefixes).
 			cut := func(lo, hi int) {
@@ -120,11 +121,11 @@ var transforms = []transform{
 			}
 			return out
 		},
-		describe: func(s *Scenario) string { return fmt.Sprintf("drop fault events -> %d", len(s.Events)) },
+		describe: func(s *scenario.Scenario) string { return fmt.Sprintf("drop fault events -> %d", len(s.Events)) },
 	},
 	{
 		name: "clear-ambient",
-		apply: func(s *Scenario) []Scenario {
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
 			if s.Rates == (fault.Rates{}) {
 				return nil
 			}
@@ -135,14 +136,14 @@ var transforms = []transform{
 			noSpin := *s
 			noSpin.Rates.SpinUpFailProb = 0
 			noSpin.Rates.SpinUpRetries = 0
-			return []Scenario{all, noTransient, noSpin}
+			return []scenario.Scenario{all, noTransient, noSpin}
 		},
-		describe: func(s *Scenario) string { return fmt.Sprintf("clear ambient rates -> %+v", s.Rates) },
+		describe: func(s *scenario.Scenario) string { return fmt.Sprintf("clear ambient rates -> %+v", s.Rates) },
 	},
 	{
 		name: "shorten",
-		apply: func(s *Scenario) []Scenario {
-			var out []Scenario
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
+			var out []scenario.Scenario
 			for _, div := range []float64{4, 2} {
 				d := snap(s.Duration / div)
 				if d >= 30 {
@@ -158,12 +159,12 @@ var transforms = []transform{
 			}
 			return out
 		},
-		describe: func(s *Scenario) string { return fmt.Sprintf("shorten run -> %gs", s.Duration) },
+		describe: func(s *scenario.Scenario) string { return fmt.Sprintf("shorten run -> %gs", s.Duration) },
 	},
 	{
 		name: "fewer-groups",
-		apply: func(s *Scenario) []Scenario {
-			var out []Scenario
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
+			var out []scenario.Scenario
 			for g := 1; g < s.Groups; g++ { // most aggressive first: 1, 2, ...
 				c := *s
 				c.Groups = g
@@ -172,17 +173,17 @@ var transforms = []transform{
 			}
 			return out
 		},
-		describe: func(s *Scenario) string { return fmt.Sprintf("reduce groups -> %d", s.Groups) },
+		describe: func(s *scenario.Scenario) string { return fmt.Sprintf("reduce groups -> %d", s.Groups) },
 	},
 	{
 		name: "fewer-disks",
-		apply: func(s *Scenario) []Scenario {
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
 			min := map[string]int{"raid0": 1, "raid1": 2, "raid5": 3}[s.RAID]
 			step := 1
 			if s.RAID == "raid1" {
 				step = 2 // mirror pairs: even counts only
 			}
-			var out []Scenario
+			var out []scenario.Scenario
 			for d := min; d < s.GroupDisks; d += step {
 				c := *s
 				c.GroupDisks = d
@@ -191,72 +192,72 @@ var transforms = []transform{
 			}
 			return out
 		},
-		describe: func(s *Scenario) string { return fmt.Sprintf("reduce group disks -> %d", s.GroupDisks) },
+		describe: func(s *scenario.Scenario) string { return fmt.Sprintf("reduce group disks -> %d", s.GroupDisks) },
 	},
 	{
 		name: "drop-spares",
-		apply: func(s *Scenario) []Scenario {
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
 			if s.SpareDisks == 0 || s.Scheme == "maid" {
 				return nil // MAID needs its cache disks; simplify-scheme goes first
 			}
 			c := *s
 			c.SpareDisks = 0
 			dropOutOfRangeEvents(&c)
-			return []Scenario{c}
+			return []scenario.Scenario{c}
 		},
-		describe: func(s *Scenario) string { return "drop spare disks" },
+		describe: func(s *scenario.Scenario) string { return "drop spare disks" },
 	},
 	{
 		name: "simplify-scheme",
-		apply: func(s *Scenario) []Scenario {
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
 			if s.Scheme == "base" {
 				return nil
 			}
 			c := *s
 			c.Scheme = "base"
-			return []Scenario{c}
+			return []scenario.Scenario{c}
 		},
-		describe: func(s *Scenario) string { return "simplify scheme -> base" },
+		describe: func(s *scenario.Scenario) string { return "simplify scheme -> base" },
 	},
 	{
 		name: "drop-cache",
-		apply: func(s *Scenario) []Scenario {
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
 			if s.CacheMB == 0 {
 				return nil
 			}
 			c := *s
 			c.CacheMB = 0
-			return []Scenario{c}
+			return []scenario.Scenario{c}
 		},
-		describe: func(s *Scenario) string { return "drop controller cache" },
+		describe: func(s *scenario.Scenario) string { return "drop controller cache" },
 	},
 	{
 		name: "drop-goal",
-		apply: func(s *Scenario) []Scenario {
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
 			if s.RespGoalMs == 0 {
 				return nil
 			}
 			c := *s
 			c.RespGoalMs = 0
-			return []Scenario{c}
+			return []scenario.Scenario{c}
 		},
-		describe: func(s *Scenario) string { return "drop response goal" },
+		describe: func(s *scenario.Scenario) string { return "drop response goal" },
 	},
 	{
 		name: "zero-retry",
-		apply: func(s *Scenario) []Scenario {
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
 			if s.Retry == (array.RetryPolicy{}) {
 				return nil
 			}
 			c := *s
 			c.Retry = array.RetryPolicy{}
-			return []Scenario{c}
+			return []scenario.Scenario{c}
 		},
-		describe: func(s *Scenario) string { return "disable retry policy" },
+		describe: func(s *scenario.Scenario) string { return "disable retry policy" },
 	},
 	{
 		name: "drop-snapshot",
-		apply: func(s *Scenario) []Scenario {
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
 			// Disarming the kill-and-restore oracle attributes the failure:
 			// a restore-mismatch needs SnapshotT, so the shrinker keeps the
 			// snapshot exactly when the snapshot machinery is implicated;
@@ -266,26 +267,26 @@ var transforms = []transform{
 			}
 			c := *s
 			c.SnapshotT = 0
-			return []Scenario{c}
+			return []scenario.Scenario{c}
 		},
-		describe: func(s *Scenario) string { return "drop snapshot capture" },
+		describe: func(s *scenario.Scenario) string { return "drop snapshot capture" },
 	},
 	{
 		name: "single-speed",
-		apply: func(s *Scenario) []Scenario {
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
 			if s.Levels == 1 {
 				return nil
 			}
 			c := *s
 			c.Levels = 1
-			return []Scenario{c}
+			return []scenario.Scenario{c}
 		},
-		describe: func(s *Scenario) string { return "single-speed disks" },
+		describe: func(s *scenario.Scenario) string { return "single-speed disks" },
 	},
 	{
 		name: "simplify-workload",
-		apply: func(s *Scenario) []Scenario {
-			var out []Scenario
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
+			var out []scenario.Scenario
 			if s.Workload == "cello" {
 				c := *s
 				c.Workload = "oltp"
@@ -302,23 +303,25 @@ var transforms = []transform{
 			}
 			return out
 		},
-		describe: func(s *Scenario) string { return fmt.Sprintf("simplify workload -> %s rate=%g", s.Workload, s.Rate) },
+		describe: func(s *scenario.Scenario) string {
+			return fmt.Sprintf("simplify workload -> %s rate=%g", s.Workload, s.Rate)
+		},
 	},
 	{
 		name: "drop-bug-hook",
-		apply: func(s *Scenario) []Scenario {
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
 			if s.BugEnergySkew == 0 {
 				return nil
 			}
 			c := *s
 			c.BugEnergySkew, c.BugSkewAt, c.BugSkewDisk = 0, 0, 0
-			return []Scenario{c}
+			return []scenario.Scenario{c}
 		},
-		describe: func(s *Scenario) string { return "drop bug hook" },
+		describe: func(s *scenario.Scenario) string { return "drop bug hook" },
 	},
 	{
 		name: "simplify-raid",
-		apply: func(s *Scenario) []Scenario {
+		apply: func(s *scenario.Scenario) []scenario.Scenario {
 			// Last resort: swap the redundancy scheme for plain striping.
 			// Accepted only when the failure is not redundancy-specific.
 			if s.RAID == "raid0" {
@@ -330,8 +333,8 @@ var transforms = []transform{
 				c.GroupDisks = 2
 			}
 			dropOutOfRangeEvents(&c)
-			return []Scenario{c}
+			return []scenario.Scenario{c}
 		},
-		describe: func(s *Scenario) string { return fmt.Sprintf("simplify raid -> raid0 x%d", s.GroupDisks) },
+		describe: func(s *scenario.Scenario) string { return fmt.Sprintf("simplify raid -> raid0 x%d", s.GroupDisks) },
 	},
 }

@@ -10,6 +10,7 @@ import (
 
 	"hibernator/internal/journal"
 	"hibernator/internal/runner"
+	"hibernator/internal/scenario"
 )
 
 // SoakOptions configures one randomized soak.
@@ -62,9 +63,9 @@ const DefaultShrinkBudget = 120
 
 // SoakFailure is one failing scenario, minimized.
 type SoakFailure struct {
-	Index     int      // scenario index within the soak
-	Original  Scenario // as generated
-	Failure   Failure  // the original verdict
+	Index     int               // scenario index within the soak
+	Original  scenario.Scenario // as generated
+	Failure   Failure           // the original verdict
 	Shrunk    ShrinkResult
 	ReproPath string // "" when OutDir unset
 }
@@ -106,7 +107,7 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 	}
 	type verdict struct {
 		fail   *Failure
-		sc     Scenario
+		sc     scenario.Scenario
 		shrunk ShrinkResult
 	}
 	verdicts, err := runner.Map(ctx, opts.Workers, opts.N,
@@ -175,7 +176,7 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 				return nil, err
 			}
 			sf.ReproPath = filepath.Join(opts.OutDir, fmt.Sprintf("seed%d-%d.repro", opts.Seed, i))
-			if err := SaveRepro(sf.ReproPath, &sf.Shrunk.Scenario); err != nil {
+			if err := scenario.SaveRepro(sf.ReproPath, &sf.Shrunk.Scenario); err != nil {
 				return nil, err
 			}
 		}
@@ -188,14 +189,14 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 // as: everything the report needs, so a resumed soak reprints the exact
 // bytes an uninterrupted one would have.
 type journaledVerdict struct {
-	Fail     *Failure      `json:"fail,omitempty"`
-	Scenario Scenario      `json:"scenario"`
-	Shrunk   *ShrinkResult `json:"shrunk,omitempty"`
+	Fail     *Failure          `json:"fail,omitempty"`
+	Scenario scenario.Scenario `json:"scenario"`
+	Shrunk   *ShrinkResult     `json:"shrunk,omitempty"`
 }
 
 // armBug plants the deliberate energy-ledger skew mid-run on a
 // scenario-dependent disk.
-func armBug(s *Scenario) {
+func armBug(s *scenario.Scenario) {
 	s.BugEnergySkew = 12345
 	s.BugSkewAt = snap(s.Duration * 0.5)
 	s.BugSkewDisk = int(s.Seed) % s.TotalDisks()

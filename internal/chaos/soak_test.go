@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hibernator/internal/fault"
+	"hibernator/internal/scenario"
 )
 
 // mustParseEvent parses a fault-CSV line or fails the test.
@@ -108,7 +109,7 @@ func TestSoakFindsAndShrinksInjectedBug(t *testing.T) {
 				f.Index, len(m.Events), m.TotalDisks())
 		}
 		// Replay from the file, exactly as `hibsim -repro` does.
-		got, err := LoadRepro(f.ReproPath)
+		got, err := scenario.LoadRepro(f.ReproPath)
 		if err != nil {
 			t.Fatalf("scenario %d: %v", f.Index, err)
 		}

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"T1", "T2", "T3", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "X1", "X2", "X3", "X4", "X5", "X6", "X7"}
@@ -42,38 +39,6 @@ func idsOf(es []Experiment) []string {
 func TestByIDUnknown(t *testing.T) {
 	if _, ok := ByID("F99"); ok {
 		t.Fatal("unknown ID should not resolve")
-	}
-}
-
-// Smoke-run every experiment at tiny scale and sanity-check the tables.
-func TestAllExperimentsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke runs take ~a minute")
-	}
-	o := Opts{Scale: 0.02, Seed: 7}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			tables, err := e.Run(o)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if len(tables) == 0 {
-				t.Fatalf("%s: no tables", e.ID)
-			}
-			for _, tb := range tables {
-				if len(tb.Rows) == 0 {
-					t.Errorf("%s: table %s has no rows", e.ID, tb.ID)
-				}
-				var b strings.Builder
-				if err := tb.Fprint(&b); err != nil {
-					t.Errorf("%s: print: %v", e.ID, err)
-				}
-				if err := tb.CSV(&b); err != nil {
-					t.Errorf("%s: csv: %v", e.ID, err)
-				}
-			}
-		})
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"hibernator/internal/invariant"
 	"hibernator/internal/obs"
 	"hibernator/internal/runner"
+	"hibernator/internal/scenario"
 	"hibernator/internal/sim"
 	"hibernator/internal/stats"
 	"hibernator/internal/trace"
@@ -156,10 +157,17 @@ func Run(cfg Config) (*Report, error) {
 
 // runArray executes one array's simulation with the fleet hooks armed.
 func runArray(cfg *Config, spec ArraySpec, assigned []Tenant) (arrayOutcome, error) {
-	simCfg, err := spec.simConfig(cfg)
+	// The array's scenario builds the config; the fleet then applies what
+	// only it knows: the power cap (spec truncation) and its context.
+	spec.sampleFaults(cfg.Seed, cfg.Duration, cfg.FaultAccel)
+	simCfg, err := spec.Config()
 	if err != nil {
 		return arrayOutcome{}, err
 	}
+	if spec.Capped {
+		simCfg.Spec = simCfg.Spec.Truncate(1)
+	}
+	simCfg.Context = cfg.Context
 	var chk *invariant.Checker
 	if cfg.Check {
 		chk = invariant.New()
@@ -198,11 +206,11 @@ func runArray(cfg *Config, spec ArraySpec, assigned []Tenant) (arrayOutcome, err
 		}
 	}
 
-	src, err := buildWorkload(cfg, spec, assigned, simCfg)
+	src, err := buildWorkload(cfg, assigned, simCfg)
 	if err != nil {
 		return arrayOutcome{}, err
 	}
-	ctrl, err := spec.controller(cfg.Duration)
+	ctrl, err := scenario.NewController(spec.Scheme, spec.Epoch())
 	if err != nil {
 		return arrayOutcome{}, err
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 
+	"hibernator/internal/scenario"
 	"hibernator/internal/sim"
 	"hibernator/internal/trace"
 )
@@ -34,7 +35,7 @@ func (s *tenantSource) Next() (trace.Request, bool) {
 // ties by source order, which is tenant-id order here, so the merged
 // stream is deterministic. An array with no assigned tenants idles for
 // the whole run (policies still act; only the request pump is empty).
-func buildWorkload(cfg *Config, spec ArraySpec, assigned []Tenant, simCfg sim.Config) (trace.Source, error) {
+func buildWorkload(cfg *Config, assigned []Tenant, simCfg sim.Config) (trace.Source, error) {
 	if len(assigned) == 0 {
 		return trace.NewSliceSource(nil), nil
 	}
@@ -48,20 +49,7 @@ func buildWorkload(cfg *Config, spec ArraySpec, assigned []Tenant, simCfg sim.Co
 	}
 	srcs := make([]trace.Source, len(assigned))
 	for i, t := range assigned {
-		var src trace.Source
-		switch t.Workload {
-		case "oltp":
-			src, err = trace.NewOLTP(trace.OLTPConfig{
-				Seed: t.Seed, VolumeBytes: slice, Duration: cfg.Duration, MaxRate: t.Rate,
-			})
-		case "cello":
-			src, err = trace.NewCello(trace.CelloConfig{
-				Seed: t.Seed, VolumeBytes: slice, Duration: cfg.Duration,
-				DayPeriod: cfg.Duration, DayRate: t.Rate,
-			})
-		default:
-			err = fmt.Errorf("fleet: unknown workload %q", t.Workload)
-		}
+		src, err := scenario.NewWorkload(t.Workload, t.Seed, slice, cfg.Duration, t.Rate)
 		if err != nil {
 			return nil, err
 		}

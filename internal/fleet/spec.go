@@ -8,55 +8,33 @@ import (
 	"hibernator/internal/array"
 	"hibernator/internal/diskmodel"
 	"hibernator/internal/fault"
-	"hibernator/internal/hibernator"
-	"hibernator/internal/policy"
-	"hibernator/internal/raid"
-	"hibernator/internal/sim"
+	"hibernator/internal/scenario"
 )
 
 // secondsPerYear converts the fault-acceleration clock (Julian year).
 const secondsPerYear = 365.25 * 86400
 
-// ArraySpec is one array's place in the fleet: disk family and vintage,
-// shape, scheme, and the admission plan's power-cap verdict. Specs are a
-// pure function of (fleet seed, index) via SampleArray, so growing a
-// fleet from N to N+k arrays leaves arrays 0..N-1 bit-identical — the
+// ArraySpec is one array's place in the fleet: a scenario (disk family,
+// shape, scheme, cache, goal, retry policy and, once sampled for the run
+// horizon, its vintage faults) plus what only the fleet knows — the
+// array's index, its deployment vintage and the admission plan's
+// power-cap verdict. The scenario has no workload of its own: the
+// router's tenants supply the request streams. Specs are a pure
+// function of (fleet seed, index) via SampleArray, so growing a fleet
+// from N to N+k arrays leaves arrays 0..N-1 bit-identical — the
 // property the router's stability contract builds on.
 type ArraySpec struct {
 	Index int
-
-	Family   string  // diskmodel family: "enterprise" | "sff"
-	Levels   int     // RPM levels before any cap
+	scenario.Scenario
 	AgeYears float64 // deployment vintage, in years before the run
-
-	Scheme     string // hibernator | drpm | tpm
-	Groups     int
-	GroupDisks int
-	Spares     int
-	RAID       string // raid1 | raid5
-	CacheMB    int64
-	RespGoalMs float64
-
-	// Seed is the per-array simulation seed (decoupled from the shape
-	// draws, like the chaos generator's).
-	Seed int64
 
 	// Capped is set by the admission plan: a capped array's spec is
 	// truncated to the lowest RPM level for the whole run.
 	Capped bool
-
-	// FailStops is the vintage-driven fail-stop timeline sampled for this
-	// array (already valid: member disks only, inside the run horizon).
-	FailStops []fault.Event
-	// TransientProb is the vintage-scaled ambient per-op error rate.
-	TransientProb float64
 }
 
 // MemberDisks returns the data-holding drives (excluding spares).
 func (a *ArraySpec) MemberDisks() int { return a.Groups * a.GroupDisks }
-
-// TotalDisks returns every drive the array creates (members + spares).
-func (a *ArraySpec) TotalDisks() int { return a.MemberDisks() + a.Spares }
 
 // Weight is the router's capacity weight (proportional tenant share).
 func (a *ArraySpec) Weight() float64 { return float64(a.MemberDisks()) }
@@ -65,7 +43,7 @@ func (a *ArraySpec) Weight() float64 { return float64(a.MemberDisks()) }
 func (a *ArraySpec) String() string {
 	s := fmt.Sprintf("array %d: %s/%s levels=%d age=%.1fy %dx%d %s spares=%d cache=%dMB goal=%gms",
 		a.Index, a.Scheme, a.Family, a.Levels, a.AgeYears,
-		a.Groups, a.GroupDisks, a.RAID, a.Spares, a.CacheMB, a.RespGoalMs)
+		a.Groups, a.GroupDisks, a.RAID, a.SpareDisks, a.CacheMB, a.RespGoalMs)
 	if a.Capped {
 		s += " CAPPED"
 	}
@@ -79,10 +57,10 @@ func (a *ArraySpec) String() string {
 // later, in sampleFaults, from the same per-array stream.
 func SampleArray(seed int64, index int) ArraySpec {
 	rng := rand.New(rand.NewSource(mix3(seed, int64(index), 0xA11A7)))
-	a := ArraySpec{
-		Index: index,
-		Seed:  int64(rng.Uint64() >> 1),
-	}
+	a := ArraySpec{Index: index}
+	// The per-array simulation seed is decoupled from the shape draws,
+	// like the chaos generator's.
+	a.Seed = int64(rng.Uint64() >> 1)
 	if rng.Intn(4) == 0 {
 		a.Family = "sff"
 	} else {
@@ -98,128 +76,54 @@ func SampleArray(seed int64, index int) ArraySpec {
 	} else {
 		a.GroupDisks = 4 + rng.Intn(3)
 	}
-	a.Spares = 1 + rng.Intn(2)
+	a.SpareDisks = 1 + rng.Intn(2)
 	a.CacheMB = int64(choice(rng, []int{16, 64, 256}))
 	a.RespGoalMs = choiceF(rng, []float64{15, 30})
+	// Every array reacts to faults the same way.
+	a.Retry = array.RetryPolicy{
+		MaxRetries:    2,
+		Backoff:       0.01,
+		BackoffFactor: 2,
+		OpDeadline:    0.25,
+		SuspectAfter:  8,
+		EvictAfter:    100,
+		AutoRebuild:   true,
+	}
 	return a
 }
 
-// sampleFaults derives the vintage fault pressure for the run horizon:
-// the ambient transient rate scales with the family AFR at the array's
-// age, and fail-stop deaths arrive Poisson with rate
+// sampleFaults sets the run horizon and derives the vintage fault
+// pressure for it: the ambient transient rate scales with the family AFR
+// at the array's age, and fail-stop deaths arrive Poisson with rate
 // AFR × member disks × accelerated exposure, capped at the spare count
 // so every death can rebuild. The draw is a pure function of
 // (seed, index, duration, accel).
 func (a *ArraySpec) sampleFaults(seed int64, duration, accel float64) {
+	a.Duration = duration
 	curve, ok := diskmodel.FamilyAFR(a.Family)
 	if !ok {
 		return
 	}
 	afr := curve.At(a.AgeYears)
-	a.TransientProb = snap6(0.0002 * afr / 0.01)
-	if a.TransientProb > 0.002 {
-		a.TransientProb = 0.002
+	a.Rates.TransientProb = snap6(0.0002 * afr / 0.01)
+	if a.Rates.TransientProb > 0.002 {
+		a.Rates.TransientProb = 0.002
 	}
 	rng := rand.New(rand.NewSource(mix3(seed, int64(a.Index), 0xFA117)))
 	exposureYears := duration * accel / secondsPerYear
 	lambda := afr * float64(a.MemberDisks()) * exposureYears
 	n := poisson(rng, lambda)
-	if n > a.Spares {
-		n = a.Spares
+	if n > a.SpareDisks {
+		n = a.SpareDisks
 	}
-	a.FailStops = a.FailStops[:0]
+	a.Events = a.Events[:0]
 	for i := 0; i < n; i++ {
-		a.FailStops = append(a.FailStops, fault.Event{
+		a.Events = append(a.Events, fault.Event{
 			Kind: fault.FailStop,
 			Time: snap3(rng.Float64() * 0.8 * duration),
 			Disk: rng.Intn(a.MemberDisks()),
 		})
 	}
-}
-
-// familySpec builds the disk model for the family and level count.
-func familySpec(family string, levels int) (diskmodel.Spec, error) {
-	switch family {
-	case "enterprise":
-		if levels > 1 {
-			return diskmodel.MultiSpeedUltrastar(levels, 3000), nil
-		}
-		return diskmodel.SingleSpeedUltrastar(), nil
-	case "sff":
-		return diskmodel.MultiSpeedSFF(levels, 1800), nil
-	}
-	return diskmodel.Spec{}, fmt.Errorf("fleet: unknown disk family %q", family)
-}
-
-// raidLevel maps the textual RAID level.
-func raidLevel(name string) (raid.Level, error) {
-	switch name {
-	case "raid1":
-		return raid.RAID1, nil
-	case "raid5":
-		return raid.RAID5, nil
-	}
-	return 0, fmt.Errorf("fleet: unknown RAID level %q", name)
-}
-
-// simConfig translates the spec into a sim.Config, applying the power
-// cap (spec truncation) and the vintage fault schedule.
-func (a *ArraySpec) simConfig(cfg *Config) (sim.Config, error) {
-	spec, err := familySpec(a.Family, a.Levels)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	if a.Capped {
-		spec = spec.Truncate(1)
-	}
-	lvl, err := raidLevel(a.RAID)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	a.sampleFaults(cfg.Seed, cfg.Duration, cfg.FaultAccel)
-	out := sim.Config{
-		Spec:               spec,
-		Groups:             a.Groups,
-		GroupDisks:         a.GroupDisks,
-		Level:              lvl,
-		ExtentBytes:        64 << 20,
-		SpareDisks:         a.Spares,
-		CacheBytes:         a.CacheMB << 20,
-		RespGoal:           a.RespGoalMs / 1000,
-		Seed:               a.Seed,
-		ExpectedRotLatency: true,
-		Context:            cfg.Context,
-		Retry: array.RetryPolicy{
-			MaxRetries:    2,
-			Backoff:       0.01,
-			BackoffFactor: 2,
-			OpDeadline:    0.25,
-			SuspectAfter:  8,
-			EvictAfter:    100,
-			AutoRebuild:   true,
-		},
-	}
-	if len(a.FailStops) > 0 || a.TransientProb > 0 {
-		out.Faults = &fault.Schedule{
-			Events: append([]fault.Event(nil), a.FailStops...),
-			Rates:  fault.Rates{TransientProb: a.TransientProb},
-		}
-	}
-	return out, nil
-}
-
-// controller builds the array's policy; duration sizes the hibernator
-// re-planning epoch (a quarter of the run, the chaos generator's default).
-func (a *ArraySpec) controller(duration float64) (sim.Controller, error) {
-	switch a.Scheme {
-	case "hibernator":
-		return hibernator.New(hibernator.Options{Epoch: 0.25 * duration}), nil
-	case "drpm":
-		return policy.NewDRPM(), nil
-	case "tpm":
-		return policy.NewTPM(0), nil
-	}
-	return nil, fmt.Errorf("fleet: unknown scheme %q", a.Scheme)
 }
 
 // poisson draws from Poisson(lambda) by inversion; exact for the small

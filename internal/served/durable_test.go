@@ -17,8 +17,8 @@ import (
 	"testing"
 	"time"
 
-	"hibernator/internal/chaos"
 	"hibernator/internal/journal"
+	"hibernator/internal/scenario"
 )
 
 // openDurable builds a durable server plus its HTTP test harness.
@@ -495,7 +495,7 @@ func TestRecoveryAcceptsArtifactWithWorkersLine(t *testing.T) {
 	}
 }
 
-func mustCanonical(t *testing.T, sc *chaos.Scenario) string {
+func mustCanonical(t *testing.T, sc *scenario.Scenario) string {
 	t.Helper()
 	c, err := canonicalRepro(sc)
 	if err != nil {

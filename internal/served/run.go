@@ -10,6 +10,7 @@ import (
 	"hibernator/internal/invariant"
 	"hibernator/internal/obs"
 	"hibernator/internal/runner"
+	"hibernator/internal/scenario"
 	"hibernator/internal/sim"
 	"hibernator/internal/snapshot"
 )
@@ -34,7 +35,7 @@ func RenderResult(res *sim.Result) []byte {
 // result document plus the complete metrics and trace streams (the
 // bytes a client streaming the served job from start to finish
 // receives). The load harness compares served jobs against this.
-func DirectRun(sc *chaos.Scenario, check bool) (result, metrics, trace []byte, err error) {
+func DirectRun(sc *scenario.Scenario, check bool) (result, metrics, trace []byte, err error) {
 	r, err := sc.BuildRun()
 	if err != nil {
 		return nil, nil, nil, err

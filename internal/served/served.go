@@ -69,9 +69,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hibernator/internal/chaos"
 	"hibernator/internal/invariant"
 	"hibernator/internal/runner"
+	"hibernator/internal/scenario"
 	"hibernator/internal/sim"
 	"hibernator/internal/snapshot"
 )
@@ -361,7 +361,7 @@ func (s *Server) recover(records []*walRecord) []*job {
 }
 
 // rebuildScenario loads and re-verifies a recovered job's artifact.
-func (s *Server) rebuildScenario(r *walRecord) (*chaos.Scenario, error) {
+func (s *Server) rebuildScenario(r *walRecord) (*scenario.Scenario, error) {
 	body, err := s.wal.loadArtifact(r.sha)
 	if err != nil {
 		return nil, err
@@ -442,7 +442,7 @@ type job struct {
 	id       string
 	client   string // submitting client's self-reported ID
 	key      string // client idempotency key ("" when unkeyed)
-	scenario *chaos.Scenario
+	scenario *scenario.Scenario
 
 	mu         sync.Mutex
 	state      string
@@ -484,7 +484,7 @@ var errRecovering = errors.New("served: recovering, replay backlog draining")
 
 // Submit admits a scenario and returns its job ID — the unkeyed,
 // anonymous form of SubmitKeyed.
-func (s *Server) Submit(sc *chaos.Scenario) (string, error) {
+func (s *Server) Submit(sc *scenario.Scenario) (string, error) {
 	id, _, err := s.SubmitKeyed(sc, "", "")
 	return id, err
 }
@@ -495,7 +495,7 @@ func (s *Server) Submit(sc *chaos.Scenario) (string, error) {
 // duplicate, which is what lets a client blindly re-POST across a
 // server crash. Returns errBusy (capacity), a quota error (IsQuota),
 // or errRecovering when the submission is refused.
-func (s *Server) SubmitKeyed(sc *chaos.Scenario, client, key string) (id string, existing bool, err error) {
+func (s *Server) SubmitKeyed(sc *scenario.Scenario, client, key string) (id string, existing bool, err error) {
 	if err := sc.Validate(); err != nil {
 		return "", false, err
 	}
@@ -775,16 +775,16 @@ func snapHash(st *snapshot.State) string {
 }
 
 // parseSubmission decodes a `# hibchaos repro v1` request body.
-func parseSubmission(body []byte) (*chaos.Scenario, error) {
-	return chaos.ParseRepro(bytes.NewReader(body))
+func parseSubmission(body []byte) (*scenario.Scenario, error) {
+	return scenario.ParseRepro(bytes.NewReader(body))
 }
 
 // canonicalRepro renders the scenario back in its canonical repro form —
 // the dry-run echo clients can diff against what they sent, and the
 // bytes the durable server stores as the job's artifact.
-func canonicalRepro(sc *chaos.Scenario) (string, error) {
+func canonicalRepro(sc *scenario.Scenario) (string, error) {
 	var b bytes.Buffer
-	if err := chaos.WriteRepro(&b, sc); err != nil {
+	if err := scenario.WriteRepro(&b, sc); err != nil {
 		return "", err
 	}
 	return b.String(), nil

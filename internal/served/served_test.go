@@ -12,11 +12,12 @@ import (
 	"time"
 
 	"hibernator/internal/chaos"
+	"hibernator/internal/scenario"
 )
 
 // testScenario returns a small deterministic scenario; dur overrides the
 // generated duration so tests control how long a job runs.
-func testScenario(t *testing.T, index int, dur float64) *chaos.Scenario {
+func testScenario(t *testing.T, index int, dur float64) *scenario.Scenario {
 	t.Helper()
 	g := chaos.Generate(1, index)
 	sc := &g
@@ -31,7 +32,7 @@ func testScenario(t *testing.T, index int, dur float64) *chaos.Scenario {
 }
 
 // reproBody renders sc in the wire format POST /jobs accepts.
-func reproBody(t *testing.T, sc *chaos.Scenario) *bytes.Reader {
+func reproBody(t *testing.T, sc *scenario.Scenario) *bytes.Reader {
 	t.Helper()
 	txt, err := canonicalRepro(sc)
 	if err != nil {
@@ -40,7 +41,7 @@ func reproBody(t *testing.T, sc *chaos.Scenario) *bytes.Reader {
 	return bytes.NewReader([]byte(txt))
 }
 
-func postJob(t *testing.T, ts *httptest.Server, sc *chaos.Scenario) string {
+func postJob(t *testing.T, ts *httptest.Server, sc *scenario.Scenario) string {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/jobs", "text/plain", reproBody(t, sc))
 	if err != nil {
