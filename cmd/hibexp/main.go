@@ -156,6 +156,10 @@ func main() {
 
 	var jnl *journal.Journal
 	var artDir string
+	// latest holds each run's last journaled entry as of open. Each
+	// experiment runs once per process, so it never needs to see this
+	// process's own appends.
+	latest := map[string]journal.Entry{}
 	if *journalPath != "" {
 		// The meta pins what determines the table bytes (scale, seed) plus
 		// the check arming: resuming a -check suite from an unchecked
@@ -163,7 +167,11 @@ func main() {
 		// experiments. Worker widths stay out — they never change a byte.
 		meta := fmt.Sprintf("hibexp scale=%g seed=%d check=%t", *scale, *seed, *check)
 		var err error
-		if jnl, err = journal.Open(*journalPath, meta); err != nil {
+		jnl, err = journal.OpenReplay(*journalPath, meta, func(_ int, e journal.Entry) error {
+			latest[e.Run] = e
+			return nil
+		})
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "hibexp: %v\n", err)
 			os.Exit(1)
 		}
@@ -182,7 +190,7 @@ func main() {
 		func(wctx context.Context, i int) ([]*report.Table, error) {
 			e := selected[i]
 			if jnl != nil && *resume {
-				if tables, ok := loadJournaled(jnl, artDir, e.ID); ok {
+				if tables, ok := loadJournaled(latest[e.ID], artDir); ok {
 					if *verbose {
 						fmt.Fprintf(os.Stderr, "%s resumed from journal (artifact verified)\n", e.ID)
 					}
@@ -191,7 +199,7 @@ func main() {
 			}
 			attempt := 1
 			if jnl != nil {
-				if prev, ok := jnl.Latest(e.ID); ok {
+				if prev, ok := latest[e.ID]; ok {
 					attempt = prev.Attempt + 1
 				}
 				if err := jnl.Append(journal.Entry{Run: e.ID, Status: journal.StatusRunning, Attempt: attempt}); err != nil {
@@ -277,16 +285,15 @@ func main() {
 }
 
 // loadJournaled returns an experiment's tables from its journal artifact
-// when the journal marks it done AND the artifact's sha256 matches the
-// recorded digest. Any mismatch — missing file, torn write survived by a
-// non-atomic editor, stale hash — falls through to a fresh run, so resume
-// never trusts an unverified byte.
-func loadJournaled(jnl *journal.Journal, artDir, id string) ([]*report.Table, bool) {
-	e, ok := jnl.Done(id)
-	if !ok || e.SHA256 == "" {
+// when its latest journal entry e is done AND the artifact's sha256
+// matches the recorded digest. Any mismatch — missing file, torn write
+// survived by a non-atomic editor, stale hash — falls through to a fresh
+// run, so resume never trusts an unverified byte.
+func loadJournaled(e journal.Entry, artDir string) ([]*report.Table, bool) {
+	if e.Status != journal.StatusDone || e.SHA256 == "" {
 		return nil, false
 	}
-	blob, err := os.ReadFile(filepath.Join(artDir, id+".json"))
+	blob, err := os.ReadFile(filepath.Join(artDir, e.Run+".json"))
 	if err != nil {
 		return nil, false
 	}

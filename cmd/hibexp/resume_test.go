@@ -144,39 +144,33 @@ func TestKill9Resume(t *testing.T) {
 // loadJournaled trusts nothing it cannot verify: a done entry only
 // resumes when the artifact bytes hash to the recorded sha256.
 func TestLoadJournaledVerifiesArtifact(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "run.jsonl")
-	artDir := filepath.Join(dir, "run.jsonl.d")
-	if err := os.MkdirAll(artDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	jnl, err := journal.Open(jpath, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl.Close()
-
+	artDir := t.TempDir()
 	blob := []byte(`[{"ID":"T1","Title":"t","Columns":["a"],"Rows":[["1"]],"Notes":null}]`)
 	sum := sha256.Sum256(blob)
 	if err := os.WriteFile(filepath.Join(artDir, "T1.json"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := jnl.Append(journal.Entry{Run: "T1", Status: journal.StatusDone, Attempt: 1, SHA256: hex.EncodeToString(sum[:])}); err != nil {
-		t.Fatal(err)
-	}
+	done := journal.Entry{Run: "T1", Status: journal.StatusDone, Attempt: 1, SHA256: hex.EncodeToString(sum[:])}
 
-	if tables, ok := loadJournaled(jnl, artDir, "T1"); !ok || len(tables) != 1 || tables[0].ID != "T1" {
+	if tables, ok := loadJournaled(done, artDir); !ok || len(tables) != 1 || tables[0].ID != "T1" {
 		t.Fatalf("verified artifact did not load: ok=%t tables=%v", ok, tables)
+	}
+	// A run whose latest entry is not done re-runs even with a good
+	// artifact on disk.
+	running := done
+	running.Status = journal.StatusRunning
+	if _, ok := loadJournaled(running, artDir); ok {
+		t.Fatal("running experiment resumed")
 	}
 	// Corrupt the artifact: the hash mismatch must force a fresh run,
 	// never a silent reprint of bad bytes.
 	if err := os.WriteFile(filepath.Join(artDir, "T1.json"), append(blob, ' '), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := loadJournaled(jnl, artDir, "T1"); ok {
+	if _, ok := loadJournaled(done, artDir); ok {
 		t.Fatal("corrupted artifact resumed")
 	}
-	if _, ok := loadJournaled(jnl, artDir, "T9"); ok {
+	if _, ok := loadJournaled(journal.Entry{}, artDir); ok {
 		t.Fatal("never-run experiment resumed")
 	}
 }

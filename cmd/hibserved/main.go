@@ -41,8 +41,10 @@
 // When the job table or backlog is full the server answers 429 with a
 // Retry-After header — explicit backpressure, never an unbounded queue.
 // Results and streams are byte-identical to a direct `hibsim` run of
-// the same scenario; SIGINT/SIGTERM drains in-flight requests, cancels
-// running jobs, and exits cleanly.
+// the same scenario; SIGINT/SIGTERM drains in-flight requests, stops
+// running jobs without logging any edge, and exits cleanly — with
+// -state-dir the next start resumes or restarts them, and queued and
+// suspended jobs stay as they were.
 package main
 
 import (

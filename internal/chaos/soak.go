@@ -96,11 +96,18 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 		ctx = context.Background()
 	}
 	var jnl *journal.Journal
+	// latest holds each scenario's last journaled entry as of open; each
+	// scenario runs once per process.
+	latest := map[string]journal.Entry{}
 	if opts.Journal != "" {
 		meta := fmt.Sprintf("soak seed=%d n=%d injectbug=%t",
 			opts.Seed, opts.N, opts.InjectBug)
 		var err error
-		if jnl, err = journal.Open(opts.Journal, meta); err != nil {
+		jnl, err = journal.OpenReplay(opts.Journal, meta, func(_ int, e journal.Entry) error {
+			latest[e.Run] = e
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 		defer jnl.Close()
@@ -114,7 +121,7 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 		func(_ context.Context, i int) (verdict, error) {
 			id := fmt.Sprintf("scenario-%d", i)
 			if jnl != nil && opts.Resume {
-				if e, ok := jnl.Done(id); ok {
+				if e := latest[id]; e.Status == journal.StatusDone {
 					var jv journaledVerdict
 					if err := json.Unmarshal([]byte(e.Detail), &jv); err == nil {
 						v := verdict{fail: jv.Fail, sc: jv.Scenario}

@@ -1,10 +1,12 @@
 // Package journal records a suite's run lifecycle in an append-only
 // JSONL file so an interrupted suite can resume where it died. Each line
-// is one Entry: a run moves pending → running → done (with the sha256 of
-// its result artifact) or failed (with a structured reason). Appends are
-// fsynced, so every entry that Open later returns was durable before the
-// crash; a torn final line — the one write a kill -9 can interrupt — is
-// detected and truncated away on Open.
+// is one Entry: a run moves running → done (with the sha256 of its
+// result artifact) or failed (with a structured reason). Appends are
+// fsynced, so every entry that OpenReplay later replays was durable
+// before the crash; a torn final line — the one write a kill -9 can
+// interrupt — is detected and truncated away on open. The journal keeps
+// no per-run table in memory: a reader builds the view it needs from
+// the replayed entries.
 //
 // The journal is an operational artifact, not a deterministic one: it
 // may carry wall-clock durations and attempt counts. Result artifacts
@@ -25,7 +27,6 @@ import (
 // Statuses a run moves through. "meta" is reserved for the journal's own
 // header entry.
 const (
-	StatusPending = "pending"
 	StatusRunning = "running"
 	StatusDone    = "done"
 	StatusFailed  = "failed"
@@ -52,10 +53,9 @@ type Entry struct {
 // Journal is an open journal file. It is safe for concurrent use by the
 // pool workers of one process.
 type Journal struct {
-	mu     sync.Mutex
-	f      *os.File
-	meta   string
-	latest map[string]Entry
+	mu   sync.Mutex
+	f    *os.File
+	meta string
 }
 
 // Open opens (or creates) the journal at path. meta identifies the suite
@@ -69,18 +69,18 @@ func Open(path, meta string) (*Journal, error) {
 
 // OpenReplay opens the journal like Open and additionally hands every
 // durable entry — in file order, with its 1-based line number — to the
-// replay callback before returning. Callers that need more than the
-// per-run latest entry (the job server rebuilds a full lifecycle from
-// the stream of edges) replay through this hook; a callback error
-// aborts the open and is returned verbatim, wrapped with the line
-// number, so a semantically corrupt journal fails loudly instead of
-// being half-applied. Meta entries are not replayed.
+// replay callback before returning. Callers build whatever view of the
+// runs they need from it (the suites keep each run's latest entry; the
+// job server rebuilds a full lifecycle from the stream of edges); a
+// callback error aborts the open and is returned verbatim, wrapped with
+// the line number, so a semantically corrupt journal fails loudly
+// instead of being half-applied. Meta entries are not replayed.
 func OpenReplay(path, meta string, replay func(line int, e Entry) error) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{f: f, latest: map[string]Entry{}}
+	j := &Journal{f: f}
 	data, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
@@ -111,7 +111,6 @@ func OpenReplay(path, meta string, replay func(line int, e Entry) error) (*Journ
 				return nil, fmt.Errorf("%s: line %d: %w", path, line, err)
 			}
 		}
-		j.latest[e.Run] = e
 	}
 	if valid < len(data) {
 		if err := f.Truncate(int64(valid)); err != nil {
@@ -153,37 +152,7 @@ func (j *Journal) append(e Entry) error {
 	if _, err := j.f.Write(line); err != nil {
 		return err
 	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	if e.Status != statusMeta {
-		j.latest[e.Run] = e
-	}
-	return nil
-}
-
-// Latest returns the most recent entry recorded for run.
-func (j *Journal) Latest(run string) (Entry, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	e, ok := j.latest[run]
-	return e, ok
-}
-
-// Done returns the run's entry when its latest status is done.
-func (j *Journal) Done(run string) (Entry, bool) {
-	e, ok := j.Latest(run)
-	if !ok || e.Status != StatusDone {
-		return Entry{}, false
-	}
-	return e, true
-}
-
-// Runs returns the number of runs with at least one recorded entry.
-func (j *Journal) Runs() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.latest)
+	return j.f.Sync()
 }
 
 // Close flushes and closes the journal file.

@@ -8,6 +8,21 @@ import (
 	"testing"
 )
 
+// replayLatest reopens the journal at path and returns each run's latest
+// entry, the view the suites build from the replay.
+func replayLatest(t *testing.T, path, meta string) (*Journal, map[string]Entry) {
+	t.Helper()
+	latest := map[string]Entry{}
+	j, err := OpenReplay(path, meta, func(_ int, e Entry) error {
+		latest[e.Run] = e
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j, latest
+}
+
 func TestJournalLifecycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "suite.jsonl")
 	j, err := Open(path, "meta-v1")
@@ -28,22 +43,16 @@ func TestJournalLifecycle(t *testing.T) {
 	}
 
 	// Reopen: r1 is done with its hash, r2 was mid-flight.
-	j2, err := Open(path, "meta-v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	j2, latest := replayLatest(t, path, "meta-v1")
 	defer j2.Close()
-	if e, ok := j2.Done("r1"); !ok || e.SHA256 != "ab12" {
-		t.Fatalf("r1 done = %v %v", e, ok)
+	if e := latest["r1"]; e.Status != StatusDone || e.SHA256 != "ab12" {
+		t.Fatalf("r1 latest = %v", e)
 	}
-	if _, ok := j2.Done("r2"); ok {
-		t.Fatal("r2 must not be done")
-	}
-	if e, ok := j2.Latest("r2"); !ok || e.Status != StatusRunning {
+	if e, ok := latest["r2"]; !ok || e.Status != StatusRunning {
 		t.Fatalf("r2 latest = %v %v", e, ok)
 	}
-	if j2.Runs() != 2 {
-		t.Fatalf("runs = %d", j2.Runs())
+	if len(latest) != 2 {
+		t.Fatalf("runs = %d", len(latest))
 	}
 }
 
@@ -66,14 +75,11 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	f.WriteString(`{"run":"r2","sta`)
 	f.Close()
 
-	j2, err := Open(path, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := j2.Latest("r2"); ok {
+	j2, latest := replayLatest(t, path, "m")
+	if _, ok := latest["r2"]; ok {
 		t.Fatal("torn entry must not surface")
 	}
-	if _, ok := j2.Done("r1"); !ok {
+	if latest["r1"].Status != StatusDone {
 		t.Fatal("r1 lost")
 	}
 	// The torn bytes are gone: a fresh append then reopen parses cleanly.
@@ -81,12 +87,9 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	j3, err := Open(path, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
+	j3, latest := replayLatest(t, path, "m")
 	defer j3.Close()
-	if _, ok := j3.Done("r3"); !ok {
+	if latest["r3"].Status != StatusDone {
 		t.Fatal("r3 lost after torn-tail truncation")
 	}
 }

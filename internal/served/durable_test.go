@@ -8,12 +8,13 @@ package served
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -367,21 +368,45 @@ func TestNonDurableServerWritesNothing(t *testing.T) {
 	}
 }
 
-// TestWALEdgeLegality exercises applyWALEntry's state machine directly:
-// semantically corrupt logs fail loudly, rejected admissions vanish,
-// flushed jobs never take another edge.
-func TestWALEdgeLegality(t *testing.T) {
-	run := func(entries []journal.Entry) (map[string]*walRecord, error) {
-		records := map[string]*walRecord{}
-		var order []string
-		for _, e := range entries {
-			if err := applyWALEntry(records, &order, e); err != nil {
-				return records, err
-			}
+// replayEntries writes entries as a job log under a fresh state dir and
+// replays it through openWAL, returning the jobs it names by ID.
+func replayEntries(t *testing.T, entries []journal.Entry) (map[string]*job, error) {
+	t.Helper()
+	dir := t.TempDir()
+	var b bytes.Buffer
+	b.WriteString(fuzzMetaLine)
+	for _, e := range entries {
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return records, nil
+		b.Write(append(line, '\n'))
 	}
-	sha := "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"
+	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, order, _, err := openWAL(dir, Options{})
+	if err != nil {
+		return nil, err
+	}
+	w.close()
+	jobs := map[string]*job{}
+	for _, j := range order {
+		if j.state != stateNew {
+			jobs[j.id] = j
+		}
+	}
+	return jobs, nil
+}
+
+// TestWALEdgeLegality replays hand-written logs through the lifecycle
+// table: semantically corrupt logs fail loudly, rejected admissions
+// vanish, flushed jobs never take another edge.
+func TestWALEdgeLegality(t *testing.T) {
+	run := func(entries []journal.Entry) (map[string]*job, error) {
+		return replayEntries(t, entries)
+	}
+	sha := fuzzSHA
 
 	if _, err := run([]journal.Entry{{Run: "j1", Status: StateRunning, Attempt: 1}}); err == nil {
 		t.Fatal("running before accepted must error")
@@ -418,14 +443,15 @@ func TestWALEdgeLegality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := recs["j1"]; r.state != StateComplete || !r.delivered || r.result != `{"x":1}` {
-		t.Fatalf("suspend/resume lifecycle replayed wrong: %+v", recs["j1"])
+	if j := recs["j1"]; j.state != StateComplete || !j.delivered || j.result != `{"x":1}` || j.walTries != 2 {
+		t.Fatalf("suspend/resume lifecycle replayed wrong: %+v", viewOf(j))
 	}
 
-	// Resume rollback: a resume refused by a full backlog re-writes a
-	// suspended edge from the accepted state. Replay must take it
-	// (regression: it used to refuse, making the log unrecoverable) and
-	// keep the original snapshot hash when the rollback states none.
+	// Resume rollback: a resume refused by a full backlog re-wrote a
+	// suspended edge from the accepted state in old logs. Replay must
+	// take it (regression: it used to refuse, making the log
+	// unrecoverable) and keep the original snapshot hash when the
+	// rollback states none.
 	recs, err = run([]journal.Entry{
 		{Run: "j1", Status: StateAccepted, SHA256: sha},
 		{Run: "j1", Status: StateRunning, Attempt: 1},
@@ -436,8 +462,8 @@ func TestWALEdgeLegality(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume rollback must replay: %v", err)
 	}
-	if r := recs["j1"]; r.state != StateSuspended || r.snapHash != "beef" {
-		t.Fatalf("resume rollback replayed wrong: %+v", recs["j1"])
+	if j := recs["j1"]; j.state != StateSuspended || j.snapHash != "beef" {
+		t.Fatalf("resume rollback replayed wrong: %+v", viewOf(j))
 	}
 	// A rollback that does state a hash wins over the original.
 	recs, err = run([]journal.Entry{
@@ -450,48 +476,16 @@ func TestWALEdgeLegality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := recs["j1"]; r.snapHash != "cafe" {
-		t.Fatalf("rollback hash not honored: %+v", recs["j1"])
+	if j := recs["j1"]; j.snapHash != "cafe" {
+		t.Fatalf("rollback hash not honored: %+v", viewOf(j))
 	}
-}
-
-// State dirs written while repros carried an engine width hold artifacts
-// with a "workers N" line. Recovery must still parse them, and the job
-// must complete with the result a direct run gives.
-func TestRecoveryAcceptsArtifactWithWorkersLine(t *testing.T) {
-	dir := t.TempDir()
-	sc := testScenario(t, 3, 60)
-	wantResult, _, _, err := DirectRun(sc, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := strings.Replace(mustCanonical(t, sc), "snapshot-t ", "workers 1\nsnapshot-t ", 1)
-	if !strings.Contains(old, "workers 1\n") {
-		t.Fatal("canonical repro has no snapshot-t line to anchor the workers line")
-	}
-
-	s1, err := Open(&Options{StateDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sha, err := s1.wal.saveArtifact([]byte(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.wal.appendAccepted("j1", sha, "", ""); err != nil {
-		t.Fatal(err)
-	}
-	s1.abort()
-
-	s2, ts2 := openDurable(t, dir, Options{})
-	defer ts2.Close()
-	defer s2.Close()
-	st := waitState(t, ts2, "j1", StateComplete)
-	if !bytes.Equal(st.Result, bytes.TrimSuffix(wantResult, []byte("\n"))) {
-		t.Fatalf("recovered result differs from direct run:\n got: %s\nwant: %s", st.Result, wantResult)
-	}
-	if got := s2.Stats(); got.Replayed != 1 {
-		t.Fatalf("stats after recovery: %+v", got)
+	// The recovery-only requeue edge is never logged, so a log naming it
+	// is corrupt.
+	if _, err := run([]journal.Entry{
+		{Run: "j1", Status: StateAccepted, SHA256: sha},
+		{Run: "j1", Status: walRequeue},
+	}); err == nil {
+		t.Fatal("a logged requeue edge must error")
 	}
 }
 
@@ -502,4 +496,112 @@ func mustCanonical(t *testing.T, sc *scenario.Scenario) string {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// A clean Close of a durable server logs no lifecycle edge: the
+// running, queued and suspended jobs all survive it exactly as they
+// would a kill -9, and the next Open picks them up again. Stream readers
+// still see end-of-stream at shutdown.
+func TestCloseKeepsDurableWork(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Workers: 1, Backlog: 4, MaxJobs: 16}
+	s1, ts1 := openDurable(t, dir, opts)
+	long := testScenario(t, 7, 100000)
+	suspended := postJob(t, ts1, long)
+	waitState(t, ts1, suspended, StateRunning)
+	postVerb(t, ts1, suspended, "suspend")
+	waitState(t, ts1, suspended, StateSuspended)
+	running := postJob(t, ts1, long)
+	waitState(t, ts1, running, StateRunning)
+	queued := postJob(t, ts1, long)
+	streamDone := make(chan struct{})
+	go func() {
+		defer close(streamDone)
+		resp, err := http.Get(ts1.URL + "/jobs/" + queued + "/stream")
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	waitState(t, ts1, queued, StateAccepted)
+	s1.Close()
+	select {
+	case <-streamDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream reader of a queued job still blocked after Close")
+	}
+	ts1.Close()
+
+	s2, ts2 := openDurable(t, dir, Options{Workers: 1, Backlog: 4, MaxJobs: 16})
+	defer ts2.Close()
+	defer s2.Close()
+	if st := getStatus(t, ts2, suspended); st.State != StateSuspended || st.Error != "" {
+		t.Fatalf("suspended job after Close and reopen: %+v", st)
+	}
+	for _, id := range []string{running, queued} {
+		if st := getStatus(t, ts2, id); st.State != StateAccepted && st.State != StateRunning {
+			t.Fatalf("job %s after Close and reopen: %+v, want it re-enqueued", id, st)
+		}
+	}
+	if got := s2.Stats(); got.Replayed != 3 || got.Resumed+got.Restarted != 2 {
+		t.Fatalf("stats after reopen: %+v", got)
+	}
+}
+
+// A retry or resume refused by a full backlog leaves the job exactly as
+// it was — state, error and streams — live and after a reopen.
+func TestRefusedVerbLeavesJobUntouched(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Workers: 1, Backlog: 1, MaxJobs: 16}
+	s1, ts1 := openDurable(t, dir, opts)
+	long := testScenario(t, 7, 100000)
+	canceled := postJob(t, ts1, long)
+	waitState(t, ts1, canceled, StateRunning)
+	postVerb(t, ts1, canceled, "cancel")
+	suspended := postJob(t, ts1, long)
+	waitState(t, ts1, suspended, StateRunning)
+	postVerb(t, ts1, suspended, "suspend")
+	waitState(t, ts1, suspended, StateSuspended)
+	blocker := postJob(t, ts1, long)
+	waitState(t, ts1, blocker, StateRunning)
+	postJob(t, ts1, long) // fills the one-slot backlog
+
+	before := map[string]JobStatus{canceled: getStatus(t, ts1, canceled), suspended: getStatus(t, ts1, suspended)}
+	for id, verb := range map[string]string{canceled: "retry", suspended: "resume"} {
+		resp, err := http.Post(ts1.URL+"/jobs/"+id+"/"+verb, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s with a full backlog: status %d, want 429", verb, resp.StatusCode)
+		}
+		if st := getStatus(t, ts1, id); st.State != before[id].State || st.Error != before[id].Error {
+			t.Fatalf("refused %s changed the job: %+v, was %+v", verb, st, before[id])
+		}
+		// The streams stay the ones the last run closed: a reader ends at
+		// once instead of blocking on a stream nothing will ever close.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		req, _ := http.NewRequestWithContext(ctx, "GET", ts1.URL+"/jobs/"+id+"/stream", nil)
+		resp, err = http.DefaultClient.Do(req)
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		cancel()
+		if err != nil {
+			t.Fatalf("stream of %s after a refused %s: %v", id, verb, err)
+		}
+	}
+	ts1.Close()
+	s1.abort()
+
+	s2, ts2 := openDurable(t, dir, opts)
+	defer ts2.Close()
+	defer s2.Close()
+	for id, was := range before {
+		if st := getStatus(t, ts2, id); st.State != was.State || st.Error != was.Error {
+			t.Fatalf("job %s after reopen: %+v, was %+v", id, st, was)
+		}
+	}
 }

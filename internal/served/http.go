@@ -89,12 +89,8 @@ func (j *job) traceStream() *stream {
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.state {
-	case StateComplete, StateFailed, StateCanceled:
-		if !j.delivered {
-			j.delivered = true
-			j.srv.wal.edge(j.id, walDelivered, j.walTries, "", "")
-		}
+	if !j.delivered && can(byRead, j.state) {
+		apply(j, j.entry(walDelivered, ""))
 	}
 	shape := ""
 	if j.scenario != nil { // recovered terminal job with a lost artifact

@@ -21,12 +21,18 @@ import (
 // so "the served result is byte-identical to a direct run" is an exact
 // bytes.Equal, not a semantic comparison.
 func RenderResult(res *sim.Result) []byte {
+	return append(resultJSON(res), '\n')
+}
+
+// resultJSON is RenderResult without the framing newline: the detail of
+// a complete edge and the result a job serves.
+func resultJSON(res *sim.Result) []byte {
 	b, err := json.Marshal(chaos.FingerprintOf(res))
 	if err != nil {
 		// Fingerprint is a flat struct of numbers; Marshal cannot fail.
 		panic("served: fingerprint marshal: " + err.Error())
 	}
-	return append(b, '\n')
+	return b
 }
 
 // DirectRun executes the scenario the way the server does — same
@@ -87,41 +93,39 @@ func armObs(cfg *sim.Config, metrics, trace *stream) {
 
 // runJob executes one admitted job on a queue worker: build the run,
 // arm context/watchdog/progress/observability/snapshots, execute under
-// the retry schedule, and record the outcome. It owns every state
-// transition out of running.
+// the retry schedule, and record the outcome. It takes every edge out
+// of running except a cancel's request and a shutdown, which logs none.
 func (s *Server) runJob(j *job) {
 	j.mu.Lock()
-	s.recoveredDoneLocked(j)      // the replay backlog shrinks even if canceled
-	if j.state != StateAccepted { // canceled while queued
+	s.recoveredDoneLocked(j) // the replay backlog shrinks even if canceled
+	if j.stopping || !can(byStart, j.state) {
+		// Canceled while queued, never admitted, or shutting down.
 		j.mu.Unlock()
 		return
 	}
+	j.startAttempt()
 	ctx, cancel := context.WithCancel(context.Background())
-	j.state = StateRunning
 	j.cancel = cancel
 	j.runDone = make(chan struct{})
-	resumeFrom := j.resumeFrom
-	done := j.runDone
+	resumeFrom, done := j.resumeFrom, j.runDone
 	j.mu.Unlock()
 	defer cancel()
 
 	var res *sim.Result
-	attemptN := 0
+	first := true
 	attempt := func(ctx context.Context) error {
 		j.mu.Lock()
-		if attemptN > 0 {
+		if !first {
 			// A fresh attempt restarts the streams: the retried run's
 			// bytes must stand alone, not continue a failed prefix.
 			j.metrics.close()
 			j.trace.close()
 			j.metrics, j.trace = newStream(), newStream()
+			j.startAttempt()
 		}
-		attemptN++
-		j.walTries++
-		tries := j.walTries
+		first = false
 		metrics, trace := j.metrics, j.trace
 		j.mu.Unlock()
-		s.wal.edge(j.id, StateRunning, tries, "", "")
 
 		r, err := j.scenario.BuildRun()
 		if err != nil {
@@ -170,42 +174,39 @@ func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	switch {
 	case err == nil:
-		j.state = StateComplete
-		j.result = RenderResult(res)
-		// The terminal edge carries the canonical result (sans the
-		// framing newline), so a restart serves it without re-running.
-		s.wal.edge(j.id, StateComplete, j.walTries, "", string(res2line(j.result)))
+		// The terminal edge carries the canonical result, so a restart
+		// serves it without re-running.
+		apply(j, j.entry(StateComplete, string(resultJSON(res))))
 		s.wal.dropSnap(j.id)
 	case j.cancelReq:
-		j.state = StateCanceled
-		j.errMsg = err.Error()
-		s.wal.edge(j.id, StateCanceled, j.walTries, "", j.errMsg)
+		apply(j, j.entry(StateCanceled, err.Error()))
 		s.wal.dropSnap(j.id)
 	case j.suspendReq && errors.Is(err, context.Canceled):
-		j.state = StateSuspended
 		j.resumeFrom = j.snap // may be nil: resume then restarts from t=0
 		// Snapshot durable first, then the edge records its hash: replay
 		// verifies the pair and restarts from scratch on any mismatch.
 		s.wal.saveSnap(j.id, j.snap)
-		s.wal.edge(j.id, StateSuspended, j.walTries, snapHash(j.snap), "")
+		e := j.entry(StateSuspended, "")
+		e.SHA256 = snapHash(j.snap)
+		apply(j, e)
+	case j.stopping:
+		// Shutdown: the log keeps the job running, and the next Open
+		// resumes or restarts it as after a crash.
 	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		s.wal.edge(j.id, StateFailed, j.walTries, "", j.errMsg)
+		apply(j, j.entry(StateFailed, err.Error()))
 		s.wal.dropSnap(j.id)
 	}
 	s.quota.release(j.client) // the job left accepted/running either way
-	j.cancel = nil
 	j.metrics.close()
 	j.trace.close()
 	close(done)
 	j.mu.Unlock()
 }
 
-// res2line strips the trailing newline RenderResult frames with.
-func res2line(b []byte) []byte {
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		return b[:n-1]
-	}
-	return b
+// startAttempt takes the running edge of the job's next execution
+// attempt, numbered across restarts. Caller holds j.mu.
+func (j *job) startAttempt() {
+	e := j.entry(StateRunning, "")
+	e.Attempt++
+	apply(j, e)
 }

@@ -20,8 +20,11 @@
 //     the submission with 429 + Retry-After instead of queueing
 //     unboundedly. At most Options.Workers simulations run at once.
 //
-// Job lifecycle: accepted → running → complete | failed | canceled,
-// with running → suspended → accepted → running on suspend/resume, and
+// Job lifecycle (the table in lifecycle.go, shared by the live server
+// and log replay): accepted → running → complete | failed | canceled;
+// running → suspended → accepted on suspend/resume; cancel from
+// accepted, running or suspended; retry from failed or canceled back to
+// accepted; recovery fails a job whose artifact no longer verifies; and
 // any terminal state → flushed when the record is evicted. Suspension
 // cancels the run's context and keeps its latest periodic snapshot; the
 // resumed run restores from that snapshot, so its stream is an exact
@@ -70,22 +73,11 @@ import (
 	"time"
 
 	"hibernator/internal/invariant"
+	"hibernator/internal/journal"
 	"hibernator/internal/runner"
 	"hibernator/internal/scenario"
 	"hibernator/internal/sim"
 	"hibernator/internal/snapshot"
-)
-
-// Job states. Terminal states (complete, failed, canceled) may be
-// flushed; suspended jobs resume through accepted like a fresh admit.
-const (
-	StateAccepted  = "accepted"
-	StateRunning   = "running"
-	StateSuspended = "suspended"
-	StateComplete  = "complete"
-	StateFailed    = "failed"
-	StateCanceled  = "canceled"
-	StateFlushed   = "flushed"
 )
 
 // Options configures a Server. The zero value is usable: every field
@@ -246,14 +238,13 @@ func Open(opts *Options) (*Server, error) {
 	if o.StateDir == "" {
 		return s, nil
 	}
-	w, records, maxSeq, err := openWALDir(o)
+	w, order, flushed, err := openWAL(o.StateDir, o)
 	if err != nil {
 		s.queue.Close()
 		return nil, err
 	}
 	s.wal = w
-	s.seq = maxSeq
-	pending := s.recover(records)
+	pending := s.recover(order, flushed)
 	s.pending.Store(int64(len(pending)))
 	if len(pending) > 0 {
 		go s.feedRecovered(pending)
@@ -261,108 +252,75 @@ func Open(opts *Options) (*Server, error) {
 	return s, nil
 }
 
-// openWALDir opens the WAL and also extracts the highest job sequence
-// number ever logged, so restarted servers never reissue an ID.
-func openWALDir(o Options) (*wal, []*walRecord, int, error) {
-	maxSeq := 0
-	w, records, err := openWAL(o.StateDir, o, func(id string) {
-		if n, err := strconv.Atoi(strings.TrimPrefix(id, "j")); err == nil && n > maxSeq {
-			maxSeq = n
-		}
-	})
-	return w, records, maxSeq, err
-}
-
-// recover rebuilds the job table from replayed records and returns the
+// recover rebuilds the job table from the replayed jobs and returns the
 // jobs to re-enqueue, in their original admission order.
-func (s *Server) recover(records []*walRecord) []*job {
+func (s *Server) recover(order, flushed []*job) []*job {
 	var pending []*job
-	for _, r := range records {
-		ck := clientKey(r.client, r.key)
-		if r.state == StateFlushed {
-			s.flushed[r.id] = ck
-			s.flushQ = append(s.flushQ, r.id)
-			if ck != "" {
-				s.keys[ck] = r.id
-			}
+	for _, j := range order {
+		// Never reissue an ID, not even a voided one.
+		if n, err := strconv.Atoi(strings.TrimPrefix(j.id, "j")); err == nil && n > s.seq {
+			s.seq = n
+		}
+		if j.state == stateNew {
 			continue
 		}
-		j := &job{
-			srv:      s,
-			id:       r.id,
-			client:   r.client,
-			key:      r.key,
-			state:    r.state,
-			walTries: r.attempt,
-			metrics:  newClosedStream(nil),
-			trace:    newClosedStream(nil),
+		if ck := clientKey(j.client, j.key); ck != "" {
+			s.keys[ck] = j.id
 		}
+		if j.state == StateFlushed {
+			continue
+		}
+		j.srv = s
+		j.metrics, j.trace = newClosedStream(nil), newClosedStream(nil)
+		s.jobs[j.id] = j
+		s.order = append(s.order, j.id)
 		s.stats.Replayed++
+		sc, err := s.loadScenario(j.sha)
+		j.scenario = sc
 		switch {
-		case terminalState(r.state):
+		case terminalState(j.state):
 			// Stream bytes are not persisted; the result and error are.
 			// The scenario reloads best-effort — a terminal job with a
 			// lost artifact still serves its result, just no shape string.
-			if r.result != "" {
-				j.result = append([]byte(r.result), '\n')
-			}
-			j.errMsg = r.errMsg
-			j.delivered = r.delivered
-			j.scenario, _ = s.rebuildScenario(r)
-		case r.state == StateSuspended:
-			sc, err := s.rebuildScenario(r)
-			if err != nil {
-				j.state = StateFailed
-				j.errMsg = "recovery: " + err.Error()
-				s.wal.edge(j.id, StateFailed, r.attempt, "", j.errMsg)
-				break
-			}
-			j.scenario = sc
-			snap := s.wal.loadSnap(r.id)
-			if r.snapHash != "" && (snap == nil || snap.Hash() != r.snapHash) {
+		case err != nil:
+			apply(j, j.entry(StateFailed, "recovery: "+err.Error()))
+		case j.state == StateSuspended:
+			snap := s.wal.loadSnap(j.id)
+			if j.snapHash != "" && (snap == nil || snap.Hash() != j.snapHash) {
 				snap = nil // stale or corrupt capture: resume restarts from t=0
 			}
 			j.snap = snap
 		default: // accepted or running at crash time: re-enqueue
-			sc, err := s.rebuildScenario(r)
-			if err != nil {
-				j.state = StateFailed
-				j.errMsg = "recovery: " + err.Error()
-				s.wal.edge(j.id, StateFailed, r.attempt, "", j.errMsg)
-				break
+			if j.state == StateRunning {
+				j.resumeFrom = s.wal.loadSnap(j.id)
 			}
-			j.scenario = sc
-			j.state = StateAccepted
-			j.recovered = true
-			j.metrics, j.trace = newStream(), newStream()
-			if r.state == StateRunning {
-				if j.resumeFrom = s.wal.loadSnap(r.id); j.resumeFrom != nil {
-					s.stats.Resumed++
-				} else {
-					s.stats.Restarted++
-				}
+			if j.resumeFrom != nil {
+				s.stats.Resumed++
 			} else {
 				s.stats.Restarted++
 			}
-			s.quota.reacquire(r.client)
+			apply(j, journal.Entry{Run: j.id, Status: walRequeue})
+			j.recovered = true
+			j.metrics, j.trace = newStream(), newStream()
+			s.quota.reacquire(j.client)
 			pending = append(pending, j)
 		}
-		s.jobs[r.id] = j
-		s.order = append(s.order, r.id)
-		if ck != "" {
-			s.keys[ck] = r.id
-		}
 	}
-	// The tombstone set stays bounded across restarts too.
+	// Tombstones in flush order, as the live table evicted them; the set
+	// stays bounded across restarts too.
+	for _, j := range flushed {
+		s.flushed[j.id] = clientKey(j.client, j.key)
+		s.flushQ = append(s.flushQ, j.id)
+	}
 	for len(s.flushQ) > s.opts.MaxJobs {
 		s.dropTombstoneLocked()
 	}
 	return pending
 }
 
-// rebuildScenario loads and re-verifies a recovered job's artifact.
-func (s *Server) rebuildScenario(r *walRecord) (*scenario.Scenario, error) {
-	body, err := s.wal.loadArtifact(r.sha)
+// loadScenario loads and re-verifies a recovered job's artifact.
+func (s *Server) loadScenario(sha string) (*scenario.Scenario, error) {
+	body, err := s.wal.loadArtifact(sha)
 	if err != nil {
 		return nil, err
 	}
@@ -398,8 +356,11 @@ func (s *Server) recoveredDoneLocked(j *job) {
 	}
 }
 
-// Close stops admissions, cancels every running job, drains the queue,
-// and closes the write-ahead log. Safe to call more than once.
+// Close stops admissions, stops every running job, drains the queue,
+// and closes the write-ahead log. It logs no lifecycle edge: a job that
+// was running, queued or suspended stays so in the log, and the next
+// Open resumes or restarts it as it would after a crash. Every stream
+// ends, so readers see end-of-stream. Safe to call more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -407,17 +368,30 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	var cancels []*job
+	jobs := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		cancels = append(cancels, j)
+		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
 	close(s.stopc)
-	for _, j := range cancels {
-		j.requestCancel()
+	for _, j := range jobs {
+		j.stop()
 	}
 	s.queue.Close()
 	s.wal.close()
+}
+
+// stop is a job's part in shutdown: a running execution is cancelled
+// (and logs nothing), a queued one never starts, and both streams end.
+func (j *job) stop() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.stopping = true
+	if j.cancel != nil {
+		j.cancel()
+	}
+	j.metrics.close()
+	j.trace.close()
 }
 
 // abort is the crash hook tests use: freeze every disk write at this
@@ -436,28 +410,33 @@ func (s *Server) Stats() Stats {
 }
 
 // job is one submission's record. The server's mutex guards the table;
-// the job's own mutex guards its mutable fields.
+// the job's own mutex guards its mutable fields. Only apply changes
+// state and the fields a log entry carries (walTries, result, errMsg,
+// delivered, snapHash).
 type job struct {
-	srv      *Server
+	srv      *Server // nil while replay rebuilds the job
 	id       string
 	client   string // submitting client's self-reported ID
 	key      string // client idempotency key ("" when unkeyed)
+	sha      string // scenario artifact address ("" without StateDir)
 	scenario *scenario.Scenario
 
 	mu         sync.Mutex
 	state      string
-	cancel     context.CancelFunc // non-nil while running
+	cancel     context.CancelFunc // cancels the latest execution
 	runDone    chan struct{}      // closed when the current execution exits
 	suspendReq bool
 	cancelReq  bool
+	stopping   bool            // the server is shutting down
 	recovered  bool            // replayed from the WAL, not yet restarted
 	walTries   int             // executions logged, across restarts
 	snap       *snapshot.State // latest periodic capture of the current run
+	snapHash   string          // hash the last suspended edge recorded
 	resumeFrom *snapshot.State // armed for the next execution
 	metrics    *stream
 	trace      *stream
-	result     []byte // canonical result document (complete only)
-	errMsg     string // failure detail (failed only)
+	result     string // canonical result JSON (complete only)
+	errMsg     string // failure detail (failed or canceled only)
 	delivered  bool   // a terminal status was served to some client
 
 	progress atomic.Uint64 // events fired, published by the run loops
@@ -499,8 +478,8 @@ func (s *Server) SubmitKeyed(sc *scenario.Scenario, client, key string) (id stri
 	if err := sc.Validate(); err != nil {
 		return "", false, err
 	}
-	var sha string
 	var body []byte
+	var detail string
 	if s.wal != nil {
 		// Artifact before log entry: an accepted edge must always find
 		// its scenario bytes on disk (see wal.go for the ordering).
@@ -509,86 +488,68 @@ func (s *Server) SubmitKeyed(sc *scenario.Scenario, client, key string) (id stri
 			return "", false, err
 		}
 		body = []byte(canonical)
+		if detail, err = acceptedDetail(client, key); err != nil {
+			return "", false, err
+		}
 	}
 	ck := clientKey(client, key)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return "", false, errClosed
 	}
 	if ck != "" {
 		if prior, ok := s.keys[ck]; ok {
 			s.stats.Deduped++
-			s.mu.Unlock()
 			return prior, true, nil
 		}
 	}
 	if !s.Ready() {
 		s.stats.Shed++
-		s.mu.Unlock()
 		return "", false, errRecovering
 	}
 	if err := s.quota.admit(client); err != nil {
 		s.stats.QuotaRejected++
-		s.mu.Unlock()
 		return "", false, err
 	}
+	j := &job{srv: s, client: client, key: key, scenario: sc, metrics: newStream(), trace: newStream()}
 	if len(s.jobs) >= s.opts.MaxJobs && !s.flushOldestLocked() {
-		s.stats.Rejected++
-		s.quota.refund(client)
-		s.mu.Unlock()
-		return "", false, errBusy
+		err = errBusy
+	} else if s.wal != nil {
+		j.sha, err = s.wal.saveArtifact(body)
 	}
-	if s.wal != nil {
-		if sha, err = s.wal.saveArtifact(body); err != nil {
-			s.quota.refund(client)
-			s.mu.Unlock()
-			return "", false, err
+	if err == nil {
+		j.id = fmt.Sprintf("j%d", s.seq+1)
+		j.mu.Lock()
+		err = s.admit(j, journal.Entry{Run: j.id, Status: StateAccepted, SHA256: j.sha, Detail: detail})
+		j.mu.Unlock()
+	}
+	if err != nil {
+		if IsBusy(err) {
+			s.stats.Rejected++
 		}
+		s.quota.refund(client)
+		return "", false, err
 	}
 	s.seq++
-	j := &job{
-		srv:      s,
-		id:       fmt.Sprintf("j%d", s.seq),
-		client:   client,
-		key:      key,
-		scenario: sc,
-		state:    StateAccepted,
-		metrics:  newStream(),
-		trace:    newStream(),
-	}
-	if s.wal != nil {
-		if err := s.wal.appendAccepted(j.id, sha, client, key); err != nil {
-			// Roll the admission back: a job the log does not know
-			// would silently vanish on restart.
-			s.seq--
-			s.quota.refund(client)
-			s.mu.Unlock()
-			return "", false, err
-		}
-	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	if ck != "" {
 		s.keys[ck] = j.id
 	}
-	if !s.queue.TrySubmit(func() { s.runJob(j) }) {
-		// Backlog full: roll the admission back so the table slot is not
-		// leaked to a job that will never run, and void the log entry.
-		s.wal.edge(j.id, walRejected, 0, "", "backlog full")
-		delete(s.jobs, j.id)
-		if ck != "" {
-			delete(s.keys, ck)
-		}
-		s.order = s.order[:len(s.order)-1]
-		s.stats.Rejected++
-		s.quota.refund(client)
-		s.mu.Unlock()
-		return "", false, errBusy
-	}
 	s.stats.Accepted++
-	s.mu.Unlock()
 	return j.id, false, nil
+}
+
+// admit offers j to the queue and, only once the queue has taken it,
+// applies the accepted edge e. The caller holds j.mu, so the worker that
+// picks j up waits for the edge; a refused offer leaves j untouched, and
+// a job whose admission could not be logged never starts.
+func (s *Server) admit(j *job, e journal.Entry) error {
+	if !s.queue.TrySubmit(func() { s.runJob(j) }) {
+		return errBusy
+	}
+	return apply(j, e)
 }
 
 // IsBusy reports whether err is the whole-server capacity refusal.
@@ -612,13 +573,12 @@ func (s *Server) flushOldestLocked() bool {
 			j.mu.Lock()
 			flush := terminalState(j.state) && (j.delivered || !needDelivered)
 			if flush {
-				j.state = StateFlushed
+				apply(j, j.entry(StateFlushed, ""))
 			}
 			j.mu.Unlock()
 			if !flush {
 				continue
 			}
-			s.wal.edge(id, StateFlushed, 0, "", "")
 			s.wal.dropSnap(id)
 			delete(s.jobs, id)
 			s.order = append(s.order[:i], s.order[i+1:]...)
@@ -639,7 +599,7 @@ func (s *Server) flushOldestLocked() bool {
 func (s *Server) dropTombstoneLocked() {
 	id := s.flushQ[0]
 	s.flushQ = s.flushQ[1:]
-	if ck := s.flushed[id]; ck != "" {
+	if ck := s.flushed[id]; ck != "" && s.keys[ck] == id {
 		delete(s.keys, ck)
 	}
 	delete(s.flushed, id)
@@ -657,34 +617,29 @@ func (s *Server) lookup(id string) (*job, bool) {
 	return nil, flushed
 }
 
-// requestCancel asks the job to stop: a queued job is marked canceled in
-// place (the queue entry becomes a no-op); a running one has its context
-// cancelled. Terminal states are left alone.
+// requestCancel asks the job to stop: a queued or suspended job is
+// canceled in place (a queue entry becomes a no-op); a running one has
+// its context cancelled and its worker logs the edge. Terminal states
+// are left alone.
 func (j *job) requestCancel() {
 	j.mu.Lock()
-	switch j.state {
-	case StateAccepted, StateSuspended:
-		was := j.state
-		j.state = StateCanceled
+	defer j.mu.Unlock()
+	switch {
+	case !can(byCancel, j.state):
+	case j.state == StateRunning:
+		j.cancelReq = true
+		j.cancel()
+	default:
+		if j.state == StateAccepted {
+			j.srv.quota.release(j.client)
+		}
+		apply(j, j.entry(StateCanceled, "canceled before running"))
 		j.cancelReq = true
 		j.metrics.close()
 		j.trace.close()
-		j.srv.wal.edge(j.id, StateCanceled, j.walTries, "", "canceled before running")
 		j.srv.wal.dropSnap(j.id)
-		if was == StateAccepted {
-			j.srv.quota.release(j.client)
-		}
 		j.srv.recoveredDoneLocked(j)
-		j.mu.Unlock()
-		return
-	case StateRunning:
-		j.cancelReq = true
-		cancel := j.cancel
-		j.mu.Unlock()
-		cancel()
-		return
 	}
-	j.mu.Unlock()
 }
 
 // requestSuspend asks a running job to stop while keeping its latest
@@ -692,16 +647,13 @@ func (j *job) requestCancel() {
 // job was not running, with the state it was in instead).
 func (j *job) requestSuspend() (<-chan struct{}, string) {
 	j.mu.Lock()
-	if j.state != StateRunning {
-		st := j.state
-		j.mu.Unlock()
-		return nil, st
+	defer j.mu.Unlock()
+	if !can(bySuspend, j.state) {
+		return nil, j.state
 	}
 	j.suspendReq = true
-	cancel, done := j.cancel, j.runDone
-	j.mu.Unlock()
-	cancel()
-	return done, StateRunning
+	j.cancel()
+	return j.runDone, StateRunning
 }
 
 // resume re-admits a suspended job: fresh streams (the resumed stream is
@@ -709,60 +661,35 @@ func (j *job) requestSuspend() (<-chan struct{}, string) {
 // back through the queue. Caller must map errBusy to 429.
 func (s *Server) resume(j *job) error {
 	j.mu.Lock()
-	if j.state != StateSuspended {
-		st := j.state
-		j.mu.Unlock()
-		return fmt.Errorf("served: job is %s, not suspended", st)
+	defer j.mu.Unlock()
+	if !can(byResume, j.state) {
+		return fmt.Errorf("served: job is %s, not suspended", j.state)
 	}
-	j.state = StateAccepted
+	if err := s.admit(j, j.entry(StateAccepted, "")); err != nil {
+		return err
+	}
 	j.resumeFrom = j.snap
 	j.suspendReq = false
-	j.metrics = newStream()
-	j.trace = newStream()
+	j.metrics, j.trace = newStream(), newStream()
 	s.quota.reacquire(j.client)
-	s.wal.edge(j.id, StateAccepted, j.walTries, "", "")
-	j.mu.Unlock()
-	if !s.queue.TrySubmit(func() { s.runJob(j) }) {
-		j.mu.Lock()
-		j.state = StateSuspended
-		s.quota.release(j.client)
-		s.wal.edge(j.id, StateSuspended, j.walTries, snapHash(j.snap), "resume refused: backlog full")
-		j.mu.Unlock()
-		return errBusy
-	}
 	return nil
 }
 
 // retryJob re-admits a failed or canceled job from scratch.
 func (s *Server) retryJob(j *job) error {
 	j.mu.Lock()
-	if j.state != StateFailed && j.state != StateCanceled {
-		st := j.state
-		j.mu.Unlock()
-		return fmt.Errorf("served: job is %s, not failed or canceled", st)
+	defer j.mu.Unlock()
+	if !can(byRetry, j.state) {
+		return fmt.Errorf("served: job is %s, not failed or canceled", j.state)
 	}
-	j.state = StateAccepted
-	j.resumeFrom = nil
-	j.snap = nil
+	if err := s.admit(j, j.entry(StateAccepted, "")); err != nil {
+		return err
+	}
+	j.resumeFrom, j.snap = nil, nil
 	j.suspendReq, j.cancelReq = false, false
-	j.errMsg = ""
-	j.result = nil
-	j.delivered = false
-	j.metrics = newStream()
-	j.trace = newStream()
+	j.metrics, j.trace = newStream(), newStream()
 	j.progress.Store(0)
 	s.quota.reacquire(j.client)
-	s.wal.edge(j.id, StateAccepted, j.walTries, "", "")
-	j.mu.Unlock()
-	if !s.queue.TrySubmit(func() { s.runJob(j) }) {
-		j.mu.Lock()
-		j.state = StateFailed
-		j.errMsg = "retry refused: backlog full"
-		s.quota.release(j.client)
-		s.wal.edge(j.id, StateFailed, j.walTries, "", j.errMsg)
-		j.mu.Unlock()
-		return errBusy
-	}
 	return nil
 }
 

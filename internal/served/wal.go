@@ -35,16 +35,6 @@ import (
 // journal.Open truncates, which re-runs the job — deterministic, so
 // nothing observable changes.
 
-// WAL-only statuses, alongside the job State* constants.
-const (
-	// walDelivered marks that some client has read the job's terminal
-	// status — the flush-eviction preference survives restarts.
-	walDelivered = "delivered"
-	// walRejected voids an accepted edge whose queue submission was
-	// refused in the same admission: replay drops the record entirely.
-	walRejected = "rejected"
-)
-
 // walMetaVersion is bumped on any incompatible WAL format change.
 const walMetaVersion = "hibserved-wal/1"
 
@@ -60,20 +50,9 @@ type wal struct {
 	artDir  string
 	snapDir string
 	frozen  atomic.Bool // test hook: simulate the crash point
-}
-
-// walRecord is one job's state as reconstructed from the log.
-type walRecord struct {
-	id        string
-	sha       string // scenario artifact content address
-	client    string
-	key       string
-	state     string
-	attempt   int
-	result    string // canonical result JSON, no trailing newline
-	errMsg    string
-	delivered bool
-	snapHash  string // hash the suspended edge recorded for its snapshot
+	// observe, when set, sees every appended entry and the job it moved,
+	// right after apply changed the job (test hook; j.mu is held).
+	observe func(journal.Entry, *job)
 }
 
 // walMeta renders the meta guard line: flags that change what a replay
@@ -83,184 +62,75 @@ func walMeta(o Options) string {
 }
 
 // openWAL opens (or creates) the job log under dir and replays it,
-// returning the reconstructed records in first-accepted order. seen,
-// when non-nil, observes every durable entry's job ID — including
-// rejected and flushed ones — so the caller can restore its ID
-// sequence past every ID ever issued. Replay errors carry the journal
-// path and 1-based line number.
-func openWAL(dir string, o Options, seen func(id string)) (*wal, []*walRecord, error) {
+// folding each entry into its job through apply. It returns every job
+// the log names, in first-accepted order (voided admissions included,
+// in state new, so the caller can issue IDs past them), and the flushed
+// jobs in the order their flushed edges were logged. Replay errors carry
+// the journal path and 1-based line number.
+func openWAL(dir string, o Options) (w *wal, order, flushed []*job, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	path := filepath.Join(dir, "jobs.jsonl")
-	w := &wal{artDir: path + ".d", snapDir: filepath.Join(dir, "snaps")}
+	w = &wal{artDir: path + ".d", snapDir: filepath.Join(dir, "snaps")}
 	for _, d := range []string{w.artDir, w.snapDir} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
-	records := map[string]*walRecord{}
-	var order []string
-	j, err := journal.OpenReplay(path, walMeta(o), func(line int, e journal.Entry) error {
-		if seen != nil {
-			seen(e.Run)
+	jobs := map[string]*job{}
+	w.j, err = journal.OpenReplay(path, walMeta(o), func(_ int, e journal.Entry) error {
+		if e.Run == "" {
+			return fmt.Errorf("wal: entry without a job id")
 		}
-		return applyWALEntry(records, &order, e)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	w.j = j
-	out := make([]*walRecord, 0, len(order))
-	for _, id := range order {
-		if r := records[id]; r != nil {
-			out = append(out, r)
+		j := jobs[e.Run]
+		if j == nil {
+			j = &job{id: e.Run}
+			jobs[e.Run] = j
+			order = append(order, j)
 		}
-	}
-	return w, out, nil
-}
-
-// applyWALEntry folds one log line into the replay state, enforcing
-// edge legality so a semantically corrupt log fails loudly (with the
-// line number OpenReplay wraps in) instead of resurrecting jobs into
-// impossible states.
-func applyWALEntry(records map[string]*walRecord, order *[]string, e journal.Entry) error {
-	if e.Run == "" {
-		return fmt.Errorf("wal: entry without a job id")
-	}
-	r := records[e.Run]
-	if r != nil && r.state == StateFlushed && e.Status != StateAccepted {
-		return fmt.Errorf("wal: job %s: %s edge after flush", e.Run, e.Status)
-	}
-	switch e.Status {
-	case StateAccepted:
-		if r == nil {
-			if len(e.SHA256) != 64 {
-				return fmt.Errorf("wal: job %s: accepted without a scenario sha256", e.Run)
+		if e.Status == StateAccepted && j.state == stateNew {
+			if err := j.identify(e); err != nil {
+				return err
 			}
-			var d walDetail
-			if e.Detail != "" {
-				if err := json.Unmarshal([]byte(e.Detail), &d); err != nil {
-					return fmt.Errorf("wal: job %s: accepted detail: %v", e.Run, err)
-				}
-			}
-			r = &walRecord{id: e.Run, sha: e.SHA256, client: d.Client, key: d.Key, state: StateAccepted}
-			records[e.Run] = r
-			*order = append(*order, e.Run)
-			return nil
 		}
-		// Re-admission: resume (suspended) or retry (failed/canceled).
-		switch r.state {
-		case StateSuspended, StateFailed, StateCanceled:
-			r.state = StateAccepted
-			r.result, r.errMsg, r.delivered = "", "", false
-			return nil
-		}
-		return fmt.Errorf("wal: job %s: re-accepted while %s", e.Run, r.state)
-	case StateRunning:
-		if r == nil || (r.state != StateAccepted && r.state != StateRunning) {
-			return walEdgeError(r, e)
-		}
-		r.state, r.attempt = StateRunning, e.Attempt
-		return nil
-	case StateSuspended:
-		// Legal from running (a real suspend) and from accepted (the
-		// rollback of a resume whose queue submission was refused).
-		if r == nil || (r.state != StateRunning && r.state != StateAccepted) {
-			return walEdgeError(r, e)
-		}
-		if e.SHA256 != "" || r.state == StateRunning {
-			// A rollback edge with no hash keeps the snapshot the
-			// original suspend recorded; a real suspend always states
-			// its own (possibly empty, when no capture existed yet).
-			r.snapHash = e.SHA256
-		}
-		r.state = StateSuspended
-		return nil
-	case StateComplete:
-		if r == nil || r.state != StateRunning {
-			return walEdgeError(r, e)
-		}
-		r.state, r.result = StateComplete, e.Detail
-		return nil
-	case StateFailed:
-		// Failed is legal from accepted and suspended too: a recovered
-		// job whose artifact no longer verifies is failed without ever
-		// (re)running.
-		if r == nil || (r.state != StateRunning && r.state != StateAccepted && r.state != StateSuspended) {
-			return walEdgeError(r, e)
-		}
-		r.state, r.errMsg = StateFailed, e.Detail
-		return nil
-	case StateCanceled:
-		if r == nil || (r.state != StateAccepted && r.state != StateRunning && r.state != StateSuspended) {
-			return walEdgeError(r, e)
-		}
-		r.state, r.errMsg = StateCanceled, e.Detail
-		return nil
-	case walDelivered:
-		if r == nil || !terminalState(r.state) {
-			return walEdgeError(r, e)
-		}
-		r.delivered = true
-		return nil
-	case StateFlushed:
-		if r == nil || !terminalState(r.state) {
-			return walEdgeError(r, e)
-		}
-		r.state = StateFlushed
-		return nil
-	case walRejected:
-		if r == nil || r.state != StateAccepted || r.attempt != 0 {
-			return walEdgeError(r, e)
-		}
-		delete(records, e.Run)
-		return nil
-	}
-	return fmt.Errorf("wal: job %s: unknown status %q", e.Run, e.Status)
-}
-
-// walEdgeError names the illegal transition.
-func walEdgeError(r *walRecord, e journal.Entry) error {
-	if r == nil {
-		return fmt.Errorf("wal: job %s: %s edge before accepted", e.Run, e.Status)
-	}
-	return fmt.Errorf("wal: job %s: %s edge while %s", e.Run, e.Status, r.state)
-}
-
-// terminalState reports whether a job in this state has finished.
-func terminalState(st string) bool {
-	return st == StateComplete || st == StateFailed || st == StateCanceled
-}
-
-// appendAccepted durably records an admission. Unlike the other edges
-// this one must not be lost silently: the caller rolls the admission
-// back when it fails, because an accepted job missing from the log
-// would vanish on restart.
-func (w *wal) appendAccepted(id, sha, client, key string) error {
-	if w == nil || w.frozen.Load() {
-		return nil
-	}
-	detail := ""
-	if client != "" || key != "" {
-		b, err := json.Marshal(walDetail{Client: client, Key: key})
-		if err != nil {
+		if err := apply(j, e); err != nil {
 			return err
 		}
-		detail = string(b)
+		if e.Status == StateFlushed {
+			flushed = append(flushed, j)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return w.j.Append(journal.Entry{Run: id, Status: StateAccepted, SHA256: sha, Detail: detail})
+	return w, order, flushed, nil
 }
 
-// edge records a lifecycle transition, best-effort: the in-memory state
-// is already correct, results are re-derivable by determinism, and a
-// server must not fail a finished job over a full disk — the cost of a
-// lost edge is bounded at one re-run after a crash.
-func (w *wal) edge(id, status string, attempt int, sha, detail string) {
-	if w == nil || w.frozen.Load() {
-		return
+// acceptedDetail renders the client identity an admission edge carries.
+func acceptedDetail(client, key string) (string, error) {
+	if client == "" && key == "" {
+		return "", nil
 	}
-	_ = w.j.Append(journal.Entry{Run: id, Status: status, Attempt: attempt, SHA256: sha, Detail: detail})
+	b, err := json.Marshal(walDetail{Client: client, Key: key})
+	return string(b), err
+}
+
+// identify reads a replayed job's identity from its admission edge: the
+// scenario artifact's address and the submitting client's ID and key.
+func (j *job) identify(e journal.Entry) error {
+	if len(e.SHA256) != 64 {
+		return fmt.Errorf("wal: job %s: accepted without a scenario sha256", e.Run)
+	}
+	var d walDetail
+	if e.Detail != "" {
+		if err := json.Unmarshal([]byte(e.Detail), &d); err != nil {
+			return fmt.Errorf("wal: job %s: accepted detail: %v", e.Run, err)
+		}
+	}
+	j.sha, j.client, j.key = e.SHA256, d.Client, d.Key
+	return nil
 }
 
 // saveArtifact stores the canonical scenario bytes content-addressed
