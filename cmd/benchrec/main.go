@@ -21,6 +21,7 @@ import (
 
 	"hibernator/internal/benchrec"
 	"hibernator/internal/cliutil"
+	"hibernator/internal/experiments"
 )
 
 func main() {
@@ -84,7 +85,7 @@ func report(e benchrec.EngineBench) {
 // main_test.go.
 func validateFlags(scale float64, pr int, smoke bool, out, baseline string) error {
 	if err := cliutil.FirstError(
-		cliutil.Positive("-scale", scale),
+		cliutil.AtLeast("-scale", scale, experiments.MinScale),
 		cliutil.NonNegativeInt("-pr", pr),
 	); err != nil {
 		return err

@@ -17,6 +17,7 @@ func TestValidateFlags(t *testing.T) {
 		{"record without out", 0.05, 6, false, "", "", false},
 		{"smoke without baseline", 0.05, 0, true, "", "", false},
 		{"zero scale", 0, 6, false, "x.json", "", false},
+		{"below min scale", 0.01, 6, false, "x.json", "", false},
 		{"negative pr", 0.05, -1, false, "x.json", "", false},
 	}
 	for _, c := range cases {

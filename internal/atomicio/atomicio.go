@@ -3,8 +3,8 @@
 // target in one step. A crash — kill -9 included — can therefore never
 // leave a torn result file: readers see either the old complete content
 // or the new complete content, nothing in between. Every result artifact
-// the CLIs produce (tables, reports, metrics streams, repro files,
-// snapshots, journal sidecars) goes through this package.
+// the CLIs and the job server produce (tables, reports, metrics streams,
+// repro files, snapshots, job artifacts) goes through this package.
 package atomicio
 
 import (

@@ -24,6 +24,15 @@ func Positive(name string, v float64) error {
 	return nil
 }
 
+// AtLeast rejects NaN, infinities and v < min — for flags with a floor
+// below which the program would otherwise clamp silently.
+func AtLeast(name string, v, min float64) error {
+	if bad(v) || v < min {
+		return fmt.Errorf("%s must be >= %g and finite, got %g", name, min, v)
+	}
+	return nil
+}
+
 // NonNegative rejects NaN, infinities and v < 0 — for flags where zero
 // means "disabled".
 func NonNegative(name string, v float64) error {

@@ -26,6 +26,10 @@ func TestFloatValidators(t *testing.T) {
 		{"nonneg neg", NonNegative("-f", -0.1), false},
 		{"nonneg nan", NonNegative("-f", nan), false},
 		{"nonneg inf", NonNegative("-f", inf), false},
+		{"atleast min", AtLeast("-f", 0.02, 0.02), true},
+		{"atleast below", AtLeast("-f", 0.01, 0.02), false},
+		{"atleast nan", AtLeast("-f", nan, 0.02), false},
+		{"atleast inf", AtLeast("-f", inf, 0.02), false},
 		{"prob zero", Prob("-f", 0), true},
 		{"prob mid", Prob("-f", 0.5), true},
 		{"prob one", Prob("-f", 1), false},

@@ -45,11 +45,6 @@ func ResetCheckViolations() {
 // scheme. Each run gets its own Checker; the shared tally is mutex-guarded
 // for concurrent runs under Opts.Workers.
 func (o *Opts) audit(cfg *sim.Config, name string) (collect func()) {
-	// Every simulation run in the suite arms this hook, so it doubles as
-	// the one place the per-run Opts settings land on the config: the
-	// cancellation context and watchdog ride along here.
-	cfg.Context = o.Context
-	cfg.Watchdog = o.Watchdog
 	if !o.Check {
 		return func() {}
 	}

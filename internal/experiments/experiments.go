@@ -14,20 +14,18 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
 	"sync"
 
 	"hibernator/internal/report"
-	"hibernator/internal/sim"
 )
 
 // Opts parameterizes a run.
 type Opts struct {
 	// Scale multiplies simulated durations (1.0 = the default multi-hour
-	// runs; benches use smaller). Clamped below at 0.02.
+	// runs; benches use smaller). Raised to MinScale when below it.
 	Scale float64
 	// Seed drives every generator in the experiment.
 	Seed int64
@@ -51,23 +49,19 @@ type Opts struct {
 	// simulation run. Violations accumulate in the process-wide tally read
 	// by CheckViolations. Checking does not change any table output byte.
 	Check bool
-	// Context, when non-nil, cancels every simulation run in the
-	// experiment when it is cancelled (signal handling in cmd/hibexp).
-	// An un-cancelled context does not change any output byte.
-	Context context.Context
-	// Watchdog, when non-nil, bounds every simulation run in the
-	// experiment (sim.Config.Watchdog): a stuck run aborts with
-	// diagnostics instead of hanging the suite. An un-tripped watchdog
-	// does not change any output byte.
-	Watchdog *sim.Watchdog
 }
+
+// MinScale is the smallest Opts.Scale an experiment runs at; norm raises
+// anything between 0 and MinScale to it, and the hibexp and benchrec
+// CLIs reject such a value up front instead.
+const MinScale = 0.02
 
 func (o *Opts) norm() {
 	if o.Scale <= 0 {
 		o.Scale = 1
 	}
-	if o.Scale < 0.02 {
-		o.Scale = 0.02
+	if o.Scale < MinScale {
+		o.Scale = MinScale
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

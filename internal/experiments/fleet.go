@@ -27,8 +27,7 @@ func runX7(o Opts) ([]*report.Table, error) {
 	dur := 1800 * o.Scale
 	base := fleet.Config{
 		Arrays: x7Arrays, Seed: o.Seed, Duration: dur,
-		Par: o.Workers, Check: o.Check,
-		Context: o.Context, Log: o.Log,
+		Par: o.Workers, Check: o.Check, Log: o.Log,
 	}
 	t := report.New("X7", "Fleet of 16 heterogeneous arrays, 64 routed tenants, with and without a power cap",
 		"power cap", "capped arrays", "energy (kJ)", "mean resp (ms)", "tenant P99 max (ms)", "goal viol (mean)", "conservation")

@@ -1,18 +1,18 @@
-// Package journal records a suite's run lifecycle in an append-only
-// JSONL file so an interrupted suite can resume where it died. Each line
-// is one Entry: a run moves running → done (with the sha256 of its
-// result artifact) or failed (with a structured reason). Appends are
-// fsynced, so every entry that OpenReplay later replays was durable
-// before the crash; a torn final line — the one write a kill -9 can
-// interrupt — is detected and truncated away on open. The journal keeps
-// no per-run table in memory: a reader builds the view it needs from
-// the replayed entries.
+// Package journal is an append-only, fsynced JSONL log of work-unit
+// lifecycle edges. Its users are the chaos soak's verdict log
+// (internal/chaos, one running → done pair per scenario, so a long soak
+// resumes where it died) and the job server's write-ahead log
+// (internal/served, one line per job lifecycle edge). Each line is one
+// Entry. Appends are fsynced, so every entry that OpenReplay later
+// replays was durable before the crash; a torn final line — the one
+// write a kill -9 can interrupt — is detected and truncated away on
+// open. The journal keeps no per-run table in memory: a reader builds
+// the view it needs from the replayed entries.
 //
-// The journal is an operational artifact, not a deterministic one: it
-// may carry wall-clock durations and attempt counts. Result artifacts
-// themselves are written atomically elsewhere (internal/atomicio) and
-// verified by hash on resume, so the journal never has to be trusted
-// about content — only about which runs are worth re-checking.
+// The journal is trusted only about which edge each unit reached, never
+// about result content: a user that keeps result artifacts beside it
+// writes them atomically (internal/atomicio) and re-verifies their hash
+// before reuse.
 package journal
 
 import (
@@ -24,30 +24,26 @@ import (
 	"sync"
 )
 
-// Statuses a run moves through. "meta" is reserved for the journal's own
-// header entry.
+// Statuses the soak's runs move through; other users define their own.
+// "meta" is reserved for the journal's own header entry.
 const (
 	StatusRunning = "running"
 	StatusDone    = "done"
-	StatusFailed  = "failed"
 	statusMeta    = "meta"
 )
 
 // Entry is one journal line.
 type Entry struct {
-	// Run identifies the unit of work (experiment ID, scenario index).
+	// Run identifies the unit of work (scenario index, job ID).
 	Run string `json:"run"`
-	// Status is one of the Status constants.
+	// Status names the lifecycle edge: a Status constant or the user's own.
 	Status string `json:"status"`
 	// Attempt counts executions of this run, 1-based (retries increment).
 	Attempt int `json:"attempt,omitempty"`
-	// SHA256 is the hex digest of the run's result artifact (done only).
+	// SHA256 is the hex digest of a content artifact the entry refers to.
 	SHA256 string `json:"sha256,omitempty"`
 	// Detail carries a failure reason or auxiliary payload.
 	Detail string `json:"detail,omitempty"`
-	// Wall is the run's wall-clock duration in seconds (operational;
-	// never part of any deterministic output).
-	Wall float64 `json:"wall_s,omitempty"`
 }
 
 // Journal is an open journal file. It is safe for concurrent use by the
@@ -58,9 +54,9 @@ type Journal struct {
 	meta string
 }
 
-// Open opens (or creates) the journal at path. meta identifies the suite
-// configuration (flags, seed, scale); a fresh journal records it, and
-// reopening a journal written under a different meta is an error — a
+// Open opens (or creates) the journal at path. meta identifies the
+// writer's configuration (flags, seed, scale); a fresh journal records
+// it, and reopening a journal written under a different meta is an error — a
 // resume with changed flags would silently mix incompatible results.
 // A torn final line from a crashed writer is truncated away.
 func Open(path, meta string) (*Journal, error) {
@@ -70,7 +66,7 @@ func Open(path, meta string) (*Journal, error) {
 // OpenReplay opens the journal like Open and additionally hands every
 // durable entry — in file order, with its 1-based line number — to the
 // replay callback before returning. Callers build whatever view of the
-// runs they need from it (the suites keep each run's latest entry; the
+// runs they need from it (the soak keeps each run's latest entry; the
 // job server rebuilds a full lifecycle from the stream of edges); a
 // callback error aborts the open and is returned verbatim, wrapped with
 // the line number, so a semantically corrupt journal fails loudly
